@@ -14,19 +14,17 @@ from .errors import (ConfigError, GramsynthError, InvalidQuadrature,
                      NonFiniteState, NonFiniteValue, NotFullyActuated,
                      OutOfSpan, PicardDiverged, SingularGramian,
                      StepLimitExceeded, UnknownSystem)
-from .flow import (JacobianProduct, Trajectory, chain_input_product,
-                   chain_input_products, flow_conjugate_check,
-                   flow_conjugate_profile, flow_input_product,
-                   flow_input_products, residual, solve_trajectory,
-                   stm_input_product)
-from .gramian import (GramianMatrix, GramianSolve, assemble_mixed,
-                      assemble_mixed_from_samples, assemble_symmetric,
+from .flow import (Trajectory, chain_input_products, flow_conjugate_profile,
+                   flow_input_product, flow_input_products, residual,
+                   solve_trajectory)
+from .gramian import (GramianMatrix, GramianSolve,
+                      assemble_mixed_from_samples,
                       assemble_symmetric_from_samples, solve_gramian)
 from .harness import (ExperimentConfig, RunArtifact, run_baseline,
                       run_reference, run_scale, run_synthesize,
                       run_underactuated)
 from .ode import (DenseSolution, OdeProblem, SolverConfig, adapt_step,
-                  eval_dense, integrate)
+                  integrate)
 from .picard import (IterationRecord, RunStatus, SynthesisConfig,
                      apply_general_map, apply_minimum_energy_map,
                      control_energy, endpoint_error, energy_certificate,
@@ -40,24 +38,23 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClosedFormControl", "ConfigError", "ControlAffineSystem",
-    "ControlFunction", "DenseSolution", "ExperimentConfig", "GramianMatrix",
-    "GramianSolve", "GramsynthError", "InvalidQuadrature", "IterationRecord",
-    "JacobianProduct", "NonFiniteState", "NonFiniteValue", "NotFullyActuated",
-    "OdeProblem", "OutOfSpan", "PicardDiverged", "QuadratureRule",
-    "RunArtifact", "RunStatus", "SingularGramian", "SolverConfig",
-    "SteeringProblem", "StepLimitExceeded", "SynthesisConfig",
-    "SynthesizedControl", "Trajectory", "UnknownSystem", "ZeroControl",
-    "adapt_step", "apply_general_map", "apply_minimum_energy_map",
-    "assemble_mixed", "assemble_mixed_from_samples", "assemble_symmetric",
-    "assemble_symmetric_from_samples", "chain_input_product",
-    "chain_input_products", "chebyshev_reference_control", "control_energy",
-    "cumulative_simpson", "default_node_count", "drift_flow",
-    "endpoint_error", "energy_certificate", "eval_dense",
-    "feedback_linearization_baseline", "fixed_point_error",
-    "flow_conjugate_check", "flow_conjugate_profile", "flow_input_product",
+    "ControlFunction", "DenseSolution", "ExperimentConfig",
+    "GramianMatrix", "GramianSolve", "GramsynthError", "InvalidQuadrature",
+    "IterationRecord", "NonFiniteState", "NonFiniteValue",
+    "NotFullyActuated", "OdeProblem", "OutOfSpan", "PicardDiverged",
+    "QuadratureRule", "RunArtifact", "RunStatus", "SingularGramian",
+    "SolverConfig", "SteeringProblem", "StepLimitExceeded",
+    "SynthesisConfig", "SynthesizedControl", "Trajectory", "UnknownSystem",
+    "ZeroControl", "adapt_step", "apply_general_map",
+    "apply_minimum_energy_map", "assemble_mixed_from_samples",
+    "assemble_symmetric_from_samples", "chain_input_products",
+    "chebyshev_reference_control", "control_energy", "cumulative_simpson",
+    "default_node_count", "drift_flow", "endpoint_error",
+    "energy_certificate", "feedback_linearization_baseline",
+    "fixed_point_error", "flow_conjugate_profile", "flow_input_product",
     "flow_input_products", "integrate", "jacobian_fd", "linear_system",
     "make_benchmark", "mindy_like", "residual", "run_baseline",
     "run_picard", "run_reference", "run_scale", "run_synthesize",
-    "run_underactuated", "simpson_rule", "solve_gramian", "solve_trajectory",
-    "stm_input_product",
+    "run_underactuated", "simpson_rule", "solve_gramian",
+    "solve_trajectory",
 ]

@@ -2,22 +2,17 @@
 
 A control is an evaluable map t -> R^k on [t0, T].  Three representations
 exist: the zero control, closed-form user maps, and synthesized controls
-carrying the Gramian multiplier.  Synthesized controls always store their
-values on the synthesis grid; the evaluation strategy decides whether
-queries between grid nodes go through a cubic interpolant ("dense") or
-through an exact product solve per query ("on_demand", memoized).
+carrying the Gramian multiplier.  Synthesized controls store their exact
+values on the synthesis grid and answer queries between grid nodes through
+a cubic interpolant.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-
-from .ode import SolverConfig
-
-STRATEGIES = ("dense", "on_demand")
 
 
 class ControlFunction:
@@ -75,25 +70,16 @@ class SynthesizedControl(ControlFunction):
     """
 
     def __init__(self, lam: np.ndarray, anchor_time: float, map_kind: str,
-                 trajectory, grid_ts: np.ndarray, grid_values: np.ndarray,
-                 strategy: str = "dense",
-                 solver: Optional[SolverConfig] = None,
+                 grid_ts: np.ndarray, grid_values: np.ndarray,
                  solve_info=None):
-        span = trajectory.solution.t_span
-        super().__init__(grid_values.shape[1], span)
-        if strategy not in STRATEGIES:
-            raise ValueError(f"unknown evaluation strategy {strategy!r}")
+        super().__init__(grid_values.shape[1], (grid_ts[0], grid_ts[-1]))
         self.lam = np.asarray(lam, dtype=float)
         self.anchor_time = float(anchor_time)
         self.map_kind = map_kind
-        self.trajectory = trajectory
         self.grid_ts = np.asarray(grid_ts, dtype=float)
         self.grid_values = np.asarray(grid_values, dtype=float)
-        self.strategy = strategy
-        self.solver = solver or SolverConfig()
         self.solve_info = solve_info
         self._spline = None
-        self._cache = {}
 
     def _interpolant(self) -> CubicSpline:
         if self._spline is None:
@@ -102,54 +88,25 @@ class SynthesizedControl(ControlFunction):
                                        axis=0, bc_type=bc)
         return self._spline
 
-    def _exact(self, t: float) -> np.ndarray:
-        # One augmented ODE solve per query; memoized.
-        from .flow import chain_input_product, flow_input_product
-
-        hit = self._cache.get(t)
-        if hit is not None:
-            return hit
-        if self.map_kind == "general":
-            row = flow_input_product(self.trajectory, t, self.anchor_time,
-                                     self.solver).matrix
-        else:
-            row = chain_input_product(self.trajectory, self.trajectory.control,
-                                      t, self.anchor_time, self.solver).matrix
-        val = row.T @ self.lam
-        self._cache[t] = val
-        return val
-
     def __call__(self, t: float) -> np.ndarray:
         t = float(t)
-        if self.strategy == "dense":
-            idx = np.searchsorted(self.grid_ts, t)
-            if idx < self.grid_ts.size and self.grid_ts[idx] == t:
-                return self.grid_values[idx].copy()
-            return np.asarray(self._interpolant()(t), dtype=float).reshape(self.k)
-        return self._exact(t).copy()
+        idx = np.searchsorted(self.grid_ts, t)
+        if idx < self.grid_ts.size and self.grid_ts[idx] == t:
+            return self.grid_values[idx].copy()
+        return np.asarray(self._interpolant()(t), dtype=float).reshape(self.k)
 
     def eval_many(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float).ravel()
-        if self.strategy == "dense":
-            vals = np.asarray(self._interpolant()(ts), dtype=float)
-            vals = vals.reshape(ts.size, self.k)
-            # exact samples where queries hit grid nodes
-            idx = np.searchsorted(self.grid_ts, ts)
-            idx = np.clip(idx, 0, self.grid_ts.size - 1)
-            on_node = self.grid_ts[idx] == ts
-            vals[on_node] = self.grid_values[idx[on_node]]
-            return vals
-        return np.stack([self._exact(float(t)) for t in ts])
-
-    def with_strategy(self, strategy: str) -> "SynthesizedControl":
-        """Same control under the other evaluation strategy."""
-        return SynthesizedControl(
-            self.lam, self.anchor_time, self.map_kind, self.trajectory,
-            self.grid_ts, self.grid_values, strategy=strategy,
-            solver=self.solver, solve_info=self.solve_info)
+        vals = np.asarray(self._interpolant()(ts), dtype=float)
+        vals = vals.reshape(ts.size, self.k)
+        # exact samples where queries hit grid nodes
+        idx = np.searchsorted(self.grid_ts, ts)
+        idx = np.clip(idx, 0, self.grid_ts.size - 1)
+        on_node = self.grid_ts[idx] == ts
+        vals[on_node] = self.grid_values[idx[on_node]]
+        return vals
 
     def __getstate__(self):
         state = self.__dict__.copy()
         state["_spline"] = None   # rebuilt lazily; keeps pickles small
-        state["_cache"] = {}
         return state

@@ -1,33 +1,35 @@
 """Trajectory solves, variational propagation, and Jacobian-input products.
 
-Three matrix-valued products feed the Gramians, all solved as augmented
-ODEs in d x k variables (never the full d x d flow Jacobian):
+Two matrix-valued products feed the Gramians:
 
-* ``flow_input_product``  -- drift-flow Jacobian times B, transported from
-  a sample time to the anchor; the coupled (y, Y) system is propagated in
-  both directions.
-* ``stm_input_product``   -- closed-loop state-transition matrix times B,
-  forward to the horizon, reading the controlled state from the
-  trajectory's dense interpolant.
-* ``chain_input_product`` -- the STM product pushed through the drift
-  variational equation back to the anchor.
+* flow-input products -- drift-flow Jacobian times B, transported from a
+  sample time to the anchor; the coupled (y, Y) system in d x k variables
+  is propagated per sample, in either direction.
+* chain products -- the closed-loop state-transition matrix R_u(T,t)
+  times B, pushed through the drift variational equation back to the
+  anchor.  R_u(T,t) is the Pontryagin costate, so one dense backward
+  d x d solve and one push give every sample.
 
-Sample-time batches run through `parallel.ordered_map`, so they can fan
-out over processes while keeping a deterministic index-ordered gather.
+Flow-input sample batches run through `parallel.ordered_map`, so they can
+fan out over processes while keeping a deterministic index-ordered gather.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
-from typing import Optional
 
 import numpy as np
 
 from .ode import DenseSolution, OdeProblem, SolverConfig, integrate
 from .parallel import ordered_map
-from .quadrature import simpson_rule
+from .quadrature import cumulative_simpson, simpson_rule
 from .systems import ControlAffineSystem, SteeringProblem, drift_flow
+
+# The costate is read between steps from the degree-7 dense interpolant,
+# one order less accurate than the step itself, so its solve runs at this
+# fraction of the configured rtol and atol.
+_COSTATE_TOL_FACTOR = 1e-2
 
 
 @dataclass(frozen=True)
@@ -52,15 +54,6 @@ class Trajectory:
 
     def state(self, t: float) -> np.ndarray:
         return self.solution.eval(t)
-
-
-@dataclass(frozen=True)
-class JacobianProduct:
-    """A d x k Jacobian-input product sampled at time t."""
-
-    t: float
-    matrix: np.ndarray
-    kind: str  # flow_input | stm_input | chain_input
 
 
 def _controlled_rhs(t, x, system, control):
@@ -103,23 +96,23 @@ def _propagate_drift_variational(system, t_from, t_to, y_init, Y_init, config):
     z0 = np.concatenate([y_init, Y_init.ravel()])
     rhs = partial(_drift_variational_rhs, system=system, d=d, k=k)
     sol = integrate(OdeProblem(rhs, t_from, t_to, z0), config, dense=False)
-    return sol.ys[-1][d:].reshape(d, k)
+    # A copy: a view would keep the solve's whole step array alive.
+    return sol.ys[-1][d:].reshape(d, k).copy()
 
 
 def flow_input_product(traj: Trajectory, t: float, tau: float,
-                       config: SolverConfig = SolverConfig()) -> JacobianProduct:
+                       config: SolverConfig = SolverConfig()) -> np.ndarray:
     """D Phi_{t,tau}(x_u(t)) B_t(x_u(t)) via the coupled variational system."""
     x_t = traj.state(t)
     B_t = traj.system.input_matrix(t, x_t)
     if t == tau:
-        return JacobianProduct(t=t, matrix=B_t, kind="flow_input")
-    Y = _propagate_drift_variational(traj.system, t, tau, x_t, B_t, config)
-    return JacobianProduct(t=t, matrix=Y, kind="flow_input")
+        return B_t
+    return _propagate_drift_variational(traj.system, t, tau, x_t, B_t, config)
 
 
 def _flow_product_task(payload, t):
     traj, tau, config = payload
-    return flow_input_product(traj, t, tau, config).matrix
+    return flow_input_product(traj, t, tau, config)
 
 
 def flow_input_products(traj: Trajectory, ts, tau: float,
@@ -131,88 +124,37 @@ def flow_input_products(traj: Trajectory, ts, tau: float,
     return np.stack(mats)
 
 
-def _stm_rhs(s, Yflat, traj, u, d, k):
+def _costate_rhs(s, lam_flat, traj, u, d):
     x = traj.solution.eval(s)
     J = traj.system.closed_loop_jacobian(s, x, u(s))
-    return (J @ Yflat.reshape(d, k)).ravel()
-
-
-def stm_input_product(traj: Trajectory, u, t: float,
-                      config: SolverConfig = SolverConfig(),
-                      t_end: Optional[float] = None,
-                      initial_matrix: Optional[np.ndarray] = None) -> JacobianProduct:
-    """R_u(T,t) B_t(x_u(t)): closed-loop STM product, forward on [t, T].
-
-    ``initial_matrix`` (test hook) replaces B_t(x_u(t)); with the identity
-    it yields the full STM R_u(t_end, t).
-    """
-    T = traj.T if t_end is None else t_end
-    x_t = traj.state(t)
-    Y0 = traj.system.input_matrix(t, x_t) if initial_matrix is None \
-        else np.asarray(initial_matrix, dtype=float)
-    if t == T:
-        return JacobianProduct(t=t, matrix=Y0.copy(), kind="stm_input")
-    d, k = Y0.shape
-    rhs = partial(_stm_rhs, traj=traj, u=u, d=d, k=k)
-    sol = integrate(OdeProblem(rhs, t, T, Y0.ravel()), config, dense=False)
-    return JacobianProduct(t=t, matrix=sol.ys[-1].reshape(d, k),
-                           kind="stm_input")
-
-
-def chain_input_product(traj: Trajectory, u, t: float, tau: float,
-                        config: SolverConfig = SolverConfig()) -> JacobianProduct:
-    """D Phi_{T,tau}(x_u(T)) R_u(T,t) B_t(x_u(t)).
-
-    The STM product is formed first, then pushed from the horizon to the
-    anchor through the drift variational equation; for tau = T it is
-    returned unchanged.
-    """
-    lam = stm_input_product(traj, u, t, config).matrix
-    T = traj.T
-    if tau == T:
-        return JacobianProduct(t=t, matrix=lam, kind="chain_input")
-    Y = _propagate_drift_variational(traj.system, T, tau, traj.endpoint,
-                                     lam, config)
-    return JacobianProduct(t=t, matrix=Y, kind="chain_input")
-
-
-def _chain_product_task(payload, t):
-    traj, u, tau, config = payload
-    return chain_input_product(traj, u, t, tau, config).matrix
+    return -(lam_flat.reshape(d, d) @ J).ravel()
 
 
 def chain_input_products(traj: Trajectory, u, ts, tau: float,
-                         config: SolverConfig = SolverConfig(),
-                         workers: int = 1) -> np.ndarray:
-    """Stacked chain products at sample times ts; shape (len(ts), d, k)."""
-    mats = ordered_map(_chain_product_task, (traj, u, tau, config), list(ts),
-                       workers=workers)
-    return np.stack(mats)
+                         config: SolverConfig = SolverConfig()) -> np.ndarray:
+    """D Phi_{T,tau}(x_u(T)) R_u(T,t) B_t(x_u(t)) at sample times ts.
 
-
-def flow_conjugate_check(problem: SteeringProblem, traj: Trajectory, t: float,
-                         config: SolverConfig = SolverConfig(),
-                         nodes: int = 201, workers: int = 1) -> float:
-    """Defect of the flow-conjugate trajectory representation at time t.
-
-    Computes I_u(t) by Simpson quadrature of D Phi_{s,tau} B u over [t0, t]
-    and returns |x_u(t) - Phi_{tau,t}(Phi_{t0,tau}(x0) + I_u(t))|.  Both
-    sides are produced by independent solves, so this is a consistency
-    check of the whole flow/variational stack, not part of synthesis.
+    R_u(T,t) is the costate Lam(t) of dLam/dt = -Lam J_cl(t), Lam(T) = I,
+    so one dense backward solve serves every sample; the push from the
+    horizon to the anchor is one drift-variational solve of the identity.
+    Returns shape (len(ts), d, k).
     """
-    tau = problem.anchor_time
-    t0 = problem.t0
-    sys_ = problem.system
-    if t == t0:
-        I_t = np.zeros(sys_.d)
-    else:
-        rule = simpson_rule(t0, t, nodes)
-        D = flow_input_products(traj, rule.nodes, tau, config, workers)
-        u_vals = _eval_control(traj.control, rule.nodes, sys_.k)
-        I_t = np.einsum("j,jim,jm->i", rule.weights, D, u_vals)
-    shifted = drift_flow(sys_, t0, tau, problem.x0, config) + I_t
-    predicted = drift_flow(sys_, tau, t, shifted, config)
-    return float(np.linalg.norm(traj.state(t) - predicted))
+    sys_ = traj.system
+    d, T = sys_.d, traj.T
+    costate_config = replace(config, rtol=config.rtol * _COSTATE_TOL_FACTOR,
+                             atol=config.atol * _COSTATE_TOL_FACTOR)
+    rhs = partial(_costate_rhs, traj=traj, u=u, d=d)
+    costate = integrate(OdeProblem(rhs, T, traj.t0, np.eye(d).ravel()),
+                        costate_config)
+    push = None if tau == T else _propagate_drift_variational(
+        sys_, T, tau, traj.endpoint, np.eye(d), config)
+    mats = []
+    for t in ts:
+        t = float(t)
+        R = costate.eval(t).reshape(d, d)
+        prod = R @ sys_.input_matrix(t, traj.state(t))
+        mats.append(prod if push is None else push @ prod)
+    return np.stack(mats)
 
 
 def flow_conjugate_profile(problem: SteeringProblem, traj: Trajectory,
@@ -223,8 +165,6 @@ def flow_conjugate_profile(problem: SteeringProblem, traj: Trajectory,
     ``check_indices`` are even indices into the ``nodes``-point Simpson grid
     on [t0, T].  Returns (times, defects).
     """
-    from .quadrature import cumulative_simpson
-
     tau = problem.anchor_time
     t0, T = problem.t0, problem.T
     sys_ = problem.system

@@ -11,14 +11,11 @@ solution when factorization fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
 
 from .errors import SingularGramian
-from .flow import Trajectory, chain_input_products, flow_input_products
-from .ode import SolverConfig
 from .quadrature import QuadratureRule, simpson_rule  # noqa: F401  (re-export)
 
 # Relative least-squares residual above which the iterate is considered to
@@ -30,15 +27,13 @@ DEFICIENCY_TOL = 1e-6
 CONDITION_LIMIT = 1e14
 
 
-@dataclass
+@dataclass(frozen=True)
 class GramianMatrix:
     """A d x d trajectory Gramian with its quadrature metadata."""
 
     matrix: np.ndarray
     kind: str  # "symmetric" | "mixed"
     rule: QuadratureRule
-    regularization: float = 0.0
-    condition_estimate: Optional[float] = None
 
     @property
     def d(self) -> int:
@@ -51,7 +46,7 @@ class GramianSolve:
 
     ``residual`` is against the unregularized Gramian (the quantity that
     measures steering defect); ``residual_regularized`` is against
-    G + reg*Id.
+    G + reg*Id, with ``regularization`` the reg that was used.
     """
 
     lam: np.ndarray
@@ -61,12 +56,25 @@ class GramianSolve:
     condition_estimate: float
     deficient: bool
     residual_regularized: float = 0.0
+    regularization: float = 0.0
+
+
+def _weighted_outer_sum(weights, left, right):
+    """sum_k w_k L_k R_k^T, accumulated one d x d product at a time.
+
+    A single matrix product over (sample, column) pairs is no faster here
+    and needs transposed copies of the whole sample stack.
+    """
+    M = np.zeros((left.shape[1], right.shape[1]))
+    for w, L, R in zip(weights, left, right):
+        M += w * (L @ R.T)
+    return M
 
 
 def assemble_symmetric_from_samples(samples: np.ndarray,
                                     rule: QuadratureRule) -> GramianMatrix:
     """Weighted sum of D_k D_k^T over quadrature samples, symmetrized."""
-    M = np.einsum("k,kim,kjm->ij", rule.weights, samples, samples)
+    M = _weighted_outer_sum(rule.weights, samples, samples)
     M = 0.5 * (M + M.T)
     return GramianMatrix(matrix=M, kind="symmetric", rule=rule)
 
@@ -75,25 +83,8 @@ def assemble_mixed_from_samples(flow_samples: np.ndarray,
                                 chain_samples: np.ndarray,
                                 rule: QuadratureRule) -> GramianMatrix:
     """Weighted sum of D_k C_k^T; no symmetrization."""
-    M = np.einsum("k,kim,kjm->ij", rule.weights, flow_samples, chain_samples)
+    M = _weighted_outer_sum(rule.weights, flow_samples, chain_samples)
     return GramianMatrix(matrix=M, kind="mixed", rule=rule)
-
-
-def assemble_symmetric(traj: Trajectory, tau: float, rule: QuadratureRule,
-                       config: SolverConfig = SolverConfig(),
-                       workers: int = 1) -> GramianMatrix:
-    """Symmetric Gramian of the trajectory at anchor tau."""
-    D = flow_input_products(traj, rule.nodes, tau, config, workers)
-    return assemble_symmetric_from_samples(D, rule)
-
-
-def assemble_mixed(traj: Trajectory, u, tau: float, rule: QuadratureRule,
-                   config: SolverConfig = SolverConfig(),
-                   workers: int = 1) -> GramianMatrix:
-    """Mixed Gramian of the trajectory at anchor tau."""
-    D = flow_input_products(traj, rule.nodes, tau, config, workers)
-    C = chain_input_products(traj, u, rule.nodes, tau, config, workers)
-    return assemble_mixed_from_samples(D, C, rule)
 
 
 def solve_gramian(G: GramianMatrix, y: np.ndarray, reg: float = 0.0,
@@ -118,7 +109,6 @@ def solve_gramian(G: GramianMatrix, y: np.ndarray, reg: float = 0.0,
         raise ValueError("on_deficient must be 'raise' or 'allow'")
     y = np.asarray(y, dtype=float)
     M = G.matrix + reg * np.eye(G.d) if reg != 0.0 else G.matrix
-    G.regularization = reg
 
     lam = None
     method = None
@@ -127,19 +117,20 @@ def solve_gramian(G: GramianMatrix, y: np.ndarray, reg: float = 0.0,
     if G.kind == "symmetric":
         try:
             c, low = scipy.linalg.cho_factor(M, check_finite=False)
-            lam = scipy.linalg.cho_solve((c, low), y, check_finite=False)
-            solve_again = lambda r: scipy.linalg.cho_solve(  # noqa: E731
-                (c, low), r, check_finite=False)
             diag = np.abs(np.diag(c))
             condition = float((diag.max() / diag.min()) ** 2)
-            method = "cholesky"
+            if condition <= CONDITION_LIMIT:
+                lam = scipy.linalg.cho_solve((c, low), y, check_finite=False)
+                solve_again = lambda r: scipy.linalg.cho_solve(  # noqa: E731
+                    (c, low), r, check_finite=False)
+                method = "cholesky"
         except scipy.linalg.LinAlgError:
             pass
     else:
         try:
             lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
             diag = np.abs(np.diag(lu))
-            if np.all(diag > 0.0):
+            if diag.min() > 0.0 and diag.max() <= CONDITION_LIMIT * diag.min():
                 lam = scipy.linalg.lu_solve((lu, piv), y, check_finite=False)
                 solve_again = lambda r: scipy.linalg.lu_solve(  # noqa: E731
                     (lu, piv), r, check_finite=False)
@@ -169,10 +160,10 @@ def solve_gramian(G: GramianMatrix, y: np.ndarray, reg: float = 0.0,
             f"{DEFICIENCY_TOL:g}: Gramian not coercive on this iterate",
             residual=res, rel_residual=rel)
 
-    G.condition_estimate = condition
     return GramianSolve(lam=lam, residual=res, rel_residual=rel,
                         method=method, condition_estimate=condition,
-                        deficient=deficient, residual_regularized=res_reg)
+                        deficient=deficient, residual_regularized=res_reg,
+                        regularization=reg)
 
 
 def _refine(A, y, lam, solve_shifted, max_steps: int = 30):

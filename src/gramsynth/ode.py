@@ -209,11 +209,6 @@ def _interp_dopri5(Q, y_old, h, x):
     return y_old + h * (Q @ p)
 
 
-def eval_dense(sol: DenseSolution, t: float) -> np.ndarray:
-    """Interpolated state of ``sol`` at time t (closed span)."""
-    return sol.eval(t)
-
-
 def integrate(problem: OdeProblem, config: SolverConfig = SolverConfig(),
               dense: bool = True) -> DenseSolution:
     """Integrate ``problem`` adaptively, returning a dense solution.

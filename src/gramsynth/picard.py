@@ -39,10 +39,10 @@ class SynthesisConfig:
     """Settings of one Picard synthesis run.
 
     ``anchor`` of None defers to the problem's anchor.  ``quadrature_points``
-    (K) of None picks 201/1001/5001 by dimension; ``dense_grid_points`` (M)
-    of None reuses the K quadrature nodes as the synthesized control's
-    sample grid, which costs nothing beyond the Gramian pass.
-    ``regularization`` of None means 0 below dimension 64 and 1e-6 from 64 up.
+    (K) of None picks 201/1001/5001 by dimension; the K quadrature nodes
+    are also the synthesized control's sample grid, which costs nothing
+    beyond the Gramian pass.  ``regularization`` of None means 0 below
+    dimension 64 and 1e-6 from 64 up.
     """
 
     map_kind: str = "general"
@@ -51,8 +51,6 @@ class SynthesisConfig:
     eps_x: float = 1e-9
     eps_u: float = 1e-9
     quadrature_points: Optional[int] = None
-    dense_grid_points: Optional[int] = None
-    eval_strategy: str = "dense"
     solver: SolverConfig = field(default_factory=SolverConfig)
     regularization: Optional[float] = None
     workers: int = 1
@@ -68,10 +66,6 @@ class SynthesisConfig:
             raise ValueError("tolerances must be positive")
         if self.anchor not in (None, 1, 2):
             raise ValueError("anchor must be 1, 2, or None")
-        if self.eval_strategy not in ("dense", "on_demand"):
-            raise ValueError("eval_strategy must be 'dense' or 'on_demand'")
-        if self.dense_grid_points is not None and self.dense_grid_points < 2:
-            raise ValueError("dense_grid_points must be >= 2")
 
     def resolved_points(self, d: int) -> int:
         return self.quadrature_points or default_node_count(d)
@@ -117,27 +111,12 @@ def _resolve_problem(problem, config):
     return problem
 
 
-def _finish_control(lam, tau, kind, traj, rule, samples, config, solve_info):
-    """Build the synthesized control, sampling an extra grid only if asked."""
-    d = traj.system.d
-    M = config.dense_grid_points
-    if M is None or M == rule.K:
-        grid_ts = rule.nodes
-        grid_vals = np.einsum("kim,i->km", samples, lam)
-    else:
-        from .flow import chain_input_products as _cc
-        from .flow import flow_input_products as _fc
-        grid_ts = np.linspace(traj.t0, traj.T, M)
-        if kind == "general":
-            rows = _fc(traj, grid_ts, tau, config.solver, config.workers)
-        else:
-            rows = _cc(traj, traj.control, grid_ts, tau, config.solver,
-                       config.workers)
-        grid_vals = np.einsum("kim,i->km", rows, lam)
+def _finish_control(tau, kind, rule, samples, solve_info):
+    """The synthesized control, sampled at the quadrature nodes."""
+    lam = solve_info.lam
     return SynthesizedControl(
-        lam=lam, anchor_time=tau, map_kind=kind, trajectory=traj,
-        grid_ts=grid_ts, grid_values=grid_vals,
-        strategy=config.eval_strategy, solver=config.solver,
+        lam=lam, anchor_time=tau, map_kind=kind, grid_ts=rule.nodes,
+        grid_values=np.einsum("kim,i->km", samples, lam),
         solve_info=solve_info)
 
 
@@ -157,8 +136,7 @@ def apply_general_map(problem, u: ControlFunction,
     y = residual(problem, config.solver)
     sol = solve_gramian(gram, y, reg=config.resolved_regularization(d),
                         on_deficient=on_deficient)
-    u_next = _finish_control(sol.lam, tau, "general", traj, rule, D, config,
-                             sol)
+    u_next = _finish_control(tau, "general", rule, D, sol)
     return u_next, traj, gram
 
 
@@ -174,14 +152,12 @@ def apply_minimum_energy_map(problem, u: ControlFunction,
     rule = simpson_rule(problem.t0, problem.T, config.resolved_points(d))
     D = flow_input_products(traj, rule.nodes, tau, config.solver,
                             config.workers)
-    C = chain_input_products(traj, u, rule.nodes, tau, config.solver,
-                             config.workers)
+    C = chain_input_products(traj, u, rule.nodes, tau, config.solver)
     gram = assemble_mixed_from_samples(D, C, rule)
     y = residual(problem, config.solver)
     sol = solve_gramian(gram, y, reg=config.resolved_regularization(d),
                         on_deficient=on_deficient)
-    u_next = _finish_control(sol.lam, tau, "minimum_energy", traj, rule, C,
-                             config, sol)
+    u_next = _finish_control(tau, "minimum_energy", rule, C, sol)
     return u_next, traj, gram
 
 
@@ -246,7 +222,7 @@ def run_picard(problem, config: SynthesisConfig = SynthesisConfig(),
 
     for n in range(config.n_max):
         tic = time.perf_counter()
-        u_next, traj, gram = apply_map(
+        u_next, traj, _ = apply_map(
             problem, u, config, on_deficient="allow" if n == 0 else "raise")
         err_end = endpoint_error(traj, problem.x1)
         err_fp = fixed_point_error(u_next, u, config.fp_grid_points)
@@ -256,9 +232,9 @@ def run_picard(problem, config: SynthesisConfig = SynthesisConfig(),
         records.append(IterationRecord(
             n=n, err_end=err_end, err_fp=err_fp, energy=energy,
             energy_sq_norm=2.0 * energy,
-            gramian_condition=float(gram.condition_estimate or 0.0),
+            gramian_condition=u_next.solve_info.condition_estimate,
             wall_time=wall))
-        if n == 0 and u_next.solve_info is not None:
+        if n == 0:
             initial_ok = not u_next.solve_info.deficient
 
         if err_end <= config.eps_x:

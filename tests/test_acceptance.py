@@ -1,8 +1,8 @@
 """Acceptance gate: one printed PASS/FAIL line per criterion.
 
 Run with `pytest tests/test_acceptance.py -s` to see the lines; the whole
-module takes roughly 15 minutes on one core (the d=64 scaling run
-dominates).
+module takes about 4.5 minutes on a 2-vCPU machine (the d=64 scaling run
+of C9 takes about 200 s of it).
 
 Criteria C2b and C2c check the fully actuated 2D Hopfield fixed points
 against the scipy-only shooting oracles of tests/oracles.py (computed when
@@ -17,7 +17,6 @@ has no source in the repository and contradicts both oracles.
 """
 
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ import pytest
 from gramsynth import (ExperimentConfig, SolverConfig, SteeringProblem,
                        SynthesisConfig, ZeroControl, apply_general_map,
                        apply_minimum_energy_map, control_energy,
-                       energy_certificate, feedback_linearization_baseline,
+                       feedback_linearization_baseline,
                        flow_conjugate_profile,
                        make_benchmark, residual, run_picard, simpson_rule,
                        solve_trajectory)

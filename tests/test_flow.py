@@ -2,15 +2,13 @@
 
 import numpy as np
 import pytest
-from scipy.integrate import quad_vec
+from scipy.integrate import quad_vec, solve_ivp
 from scipy.linalg import expm
 
-from gramsynth import (SolverConfig, SteeringProblem, ZeroControl,
-                       chain_input_product, flow_conjugate_check,
+from gramsynth import (SteeringProblem, ZeroControl, chain_input_products,
                        flow_conjugate_profile, flow_input_product,
                        flow_input_products, drift_flow, linear_system,
-                       make_benchmark, residual, solve_trajectory,
-                       stm_input_product)
+                       make_benchmark, residual, solve_trajectory)
 from gramsynth.controls import ClosedFormControl
 
 
@@ -88,15 +86,14 @@ def test_residual_lti_oracle(lti3, tight_solver):
 def test_flow_product_at_anchor_is_exact(lti3, tight_solver):
     A, B, system, problem, u, traj = lti3
     out = flow_input_product(traj, 0.7, 0.7, tight_solver)
-    assert np.array_equal(out.matrix, B)
-    assert out.kind == "flow_input"
+    assert np.array_equal(out, B)
 
 
 def test_flow_product_lti_expm(lti3, tight_solver):
     A, B, system, problem, u, traj = lti3
-    fwd = flow_input_product(traj, 0.4, 1.5, tight_solver).matrix
+    fwd = flow_input_product(traj, 0.4, 1.5, tight_solver)
     assert np.max(np.abs(fwd - expm(A * 1.1) @ B)) < 1e-7
-    back = flow_input_product(traj, 0.4, 0.0, tight_solver).matrix
+    back = flow_input_product(traj, 0.4, 0.0, tight_solver)
     assert np.max(np.abs(back - expm(-A * 0.4) @ B)) < 1e-7
 
 
@@ -104,7 +101,7 @@ def test_flow_product_driftless_is_input(tight_solver):
     system, problem = make_benchmark("unicycle")
     u = _const_control(2, 0.2)
     traj = solve_trajectory(problem, u, tight_solver)
-    out = flow_input_product(traj, 0.8, 2.0, tight_solver).matrix
+    out = flow_input_product(traj, 0.8, 2.0, tight_solver)
     expect = system.input_matrix(0.8, traj.state(0.8))
     assert np.max(np.abs(out - expect)) < 1e-12
 
@@ -123,22 +120,26 @@ def test_flow_product_fd_oracle(name, tight_solver):
         tau = problem.T if rng.random() < 0.5 else problem.t0
         x_t = traj.state(t)
         B = system.input_matrix(t, x_t)
-        P = flow_input_product(traj, t, tau, tight_solver).matrix
+        P = flow_input_product(traj, t, tau, tight_solver)
         for j in range(system.k):
             plus = drift_flow(system, t, tau, x_t + h * B[:, j], tight_solver)
             minus = drift_flow(system, t, tau, x_t - h * B[:, j], tight_solver)
             assert np.max(np.abs(P[:, j] - (plus - minus) / (2 * h))) < 1e-5
 
 
+def _chain(traj, u, t, tau, config):
+    return chain_input_products(traj, u, [t], tau, config)[0]
+
+
 def test_stm_product_at_horizon_is_exact(lti3, tight_solver):
     A, B, system, problem, u, traj = lti3
-    out = stm_input_product(traj, u, problem.T, tight_solver)
-    assert np.array_equal(out.matrix, B)
+    out = _chain(traj, u, problem.T, problem.T, tight_solver)
+    assert np.array_equal(out, B)
 
 
 def test_stm_product_lti_control_independent(lti3, tight_solver):
     A, B, system, problem, u, traj = lti3
-    S = stm_input_product(traj, u, 0.4, tight_solver).matrix
+    S = _chain(traj, u, 0.4, problem.T, tight_solver)
     assert np.max(np.abs(S - expm(A * 1.1) @ B)) < 1e-7
 
 
@@ -146,37 +147,23 @@ def test_stm_reduces_to_flow_product_with_zero_control(tight_solver):
     system, problem = make_benchmark("hopfield2d_full")
     u = ZeroControl(2, (0.0, 1.5))
     traj = solve_trajectory(problem, u, tight_solver)
-    S = stm_input_product(traj, u, 0.5, tight_solver).matrix
-    F = flow_input_product(traj, 0.5, problem.T, tight_solver).matrix
+    S = _chain(traj, u, 0.5, problem.T, tight_solver)
+    F = flow_input_product(traj, 0.5, problem.T, tight_solver)
     assert np.max(np.abs(S - F)) < 1e-8
 
 
-def test_stm_cocycle_full_matrix(tight_solver):
-    # R(T,s) R(s,t) = R(T,t), via the identity-seeded full-matrix mode
-    system, problem = make_benchmark("pendulum")
-    u = _const_control(1, 0.4)
-    traj = solve_trajectory(problem, u, tight_solver)
-    t, s, T = 0.6, 1.0, problem.T
-    eye = np.eye(2)
-    R_Tt = stm_input_product(traj, u, t, tight_solver,
-                             initial_matrix=eye).matrix
-    R_st = stm_input_product(traj, u, t, tight_solver, t_end=s,
-                             initial_matrix=eye).matrix
-    R_Ts = stm_input_product(traj, u, s, tight_solver,
-                             initial_matrix=eye).matrix
-    assert np.max(np.abs(R_Ts @ R_st - R_Tt)) < 1e-6
-
-
 def test_chain_product_tau_horizon_equals_stm(lti3, tight_solver):
+    # moving the anchor from T to 0 applies D Phi_{T,0} = expm(-A T)
     A, B, system, problem, u, traj = lti3
-    C = chain_input_product(traj, u, 0.4, problem.T, tight_solver).matrix
-    S = stm_input_product(traj, u, 0.4, tight_solver).matrix
-    assert np.array_equal(C, S)
+    ts = np.linspace(0.0, problem.T, 7)
+    at_T = chain_input_products(traj, u, ts, problem.T, tight_solver)
+    at_0 = chain_input_products(traj, u, ts, 0.0, tight_solver)
+    assert np.max(np.abs(at_0 - expm(-A * problem.T) @ at_T)) < 1e-7
 
 
 def test_chain_product_lti_oracle(lti3, tight_solver):
     A, B, system, problem, u, traj = lti3
-    C = chain_input_product(traj, u, 0.4, 0.0, tight_solver).matrix
+    C = _chain(traj, u, 0.4, 0.0, tight_solver)
     assert np.max(np.abs(C - expm(-A * 0.4) @ B)) < 1e-7
 
 
@@ -184,18 +171,63 @@ def test_chain_product_driftless_equals_stm(tight_solver):
     system, problem = make_benchmark("unicycle")
     u = _const_control(2, 0.3)
     traj = solve_trajectory(problem, u, tight_solver)
-    C = chain_input_product(traj, u, 0.7, 0.0, tight_solver).matrix
-    S = stm_input_product(traj, u, 0.7, tight_solver).matrix
+    C = _chain(traj, u, 0.7, 0.0, tight_solver)
+    S = _chain(traj, u, 0.7, problem.T, tight_solver)
     assert np.max(np.abs(C - S)) < 1e-9
+
+
+def _reference_chain_product(system, problem, u, t, tau):
+    """Per-sample chain product from scipy alone: the forward closed-loop
+    STM product R_u(T,t) B_t, then the drift-variational push to tau."""
+    d, k = system.d, system.k
+    ivp = dict(method="DOP853", rtol=1e-12, atol=1e-14)
+
+    def state(s, x):
+        return system.drift(s, x) + system.input_matrix(s, x) @ u(s)
+
+    def stm(s, z):
+        x, Y = z[:d], z[d:].reshape(d, k)
+        J = system.closed_loop_jacobian(s, x, u(s))
+        return np.concatenate([state(s, x), (J @ Y).ravel()])
+
+    def push(s, z):
+        y, Y = z[:d], z[d:].reshape(d, d)
+        J = system.drift_jacobian(s, y)
+        return np.concatenate([system.drift(s, y), (J @ Y).ravel()])
+
+    x_t = solve_ivp(state, (problem.t0, t), problem.x0, **ivp).y[:, -1]
+    z0 = np.concatenate([x_t, system.input_matrix(t, x_t).ravel()])
+    z_T = solve_ivp(stm, (t, problem.T), z0, **ivp).y[:, -1]
+    x_T, R_B = z_T[:d], z_T[d:].reshape(d, k)
+    if tau == problem.T:
+        return R_B
+    z0 = np.concatenate([x_T, np.eye(d).ravel()])
+    P = solve_ivp(push, (problem.T, tau), z0, **ivp).y[d:, -1].reshape(d, d)
+    return P @ R_B
+
+
+@pytest.mark.parametrize("name", ["pendulum", "hopfield2d_full"])
+def test_chain_products_match_per_sample_reference(name, tight_solver):
+    system, problem = make_benchmark(name)
+    u = ClosedFormControl(lambda t: np.full(system.k, np.sin(3.0 * t)),
+                          k=system.k, span=(problem.t0, problem.T))
+    traj = solve_trajectory(problem, u, tight_solver)
+    ts = np.linspace(problem.t0, problem.T, 9)
+    for tau in (problem.t0, problem.T):
+        C = chain_input_products(traj, u, ts, tau, tight_solver)
+        for t, C_t in zip(ts, C):
+            ref = _reference_chain_product(system, problem, u, float(t), tau)
+            assert np.max(np.abs(C_t - ref)) <= 1e-9 * max(
+                1.0, np.max(np.abs(ref)))
 
 
 def test_products_are_pure(lti3, tight_solver):
     A, B, system, problem, u, traj = lti3
-    a = flow_input_product(traj, 0.3, 1.5, tight_solver).matrix
-    b = flow_input_product(traj, 0.3, 1.5, tight_solver).matrix
+    a = flow_input_product(traj, 0.3, 1.5, tight_solver)
+    b = flow_input_product(traj, 0.3, 1.5, tight_solver)
     assert np.array_equal(a, b)
-    c = chain_input_product(traj, u, 0.3, 0.0, tight_solver).matrix
-    d = chain_input_product(traj, u, 0.3, 0.0, tight_solver).matrix
+    c = _chain(traj, u, 0.3, 0.0, tight_solver)
+    d = _chain(traj, u, 0.3, 0.0, tight_solver)
     assert np.array_equal(c, d)
 
 
@@ -211,8 +243,10 @@ def test_flow_conjugate_zero_control(tight_solver):
     system, problem = make_benchmark("pendulum")
     traj = solve_trajectory(problem, ZeroControl(1, (problem.t0, problem.T)),
                             tight_solver)
-    defect = flow_conjugate_check(problem, traj, 1.2, tight_solver, nodes=51)
-    assert defect < 1e-8
+    # grid index 36 of 51 nodes on [0.5, 1.5] is t = 1.22
+    _, defects = flow_conjugate_profile(problem, traj, [36], tight_solver,
+                                        nodes=51)
+    assert defects[0] < 1e-8
 
 
 def test_flow_conjugate_driftless(tight_solver):
@@ -221,8 +255,10 @@ def test_flow_conjugate_driftless(tight_solver):
         lambda t: np.array([0.5 + 0.1 * np.sin(t), 0.8 * np.cos(t)]),
         k=2, span=(0.0, 2.0))
     traj = solve_trajectory(problem, u, tight_solver)
-    defect = flow_conjugate_check(problem, traj, 1.3, tight_solver, nodes=201)
-    assert defect < 1e-9
+    # grid index 130 of 201 nodes on [0, 2] is t = 1.3
+    _, defects = flow_conjugate_profile(problem, traj, [130], tight_solver,
+                                        nodes=201)
+    assert defects[0] < 1e-9
 
 
 def test_flow_conjugate_pendulum_smooth_control(tight_solver):
@@ -230,8 +266,10 @@ def test_flow_conjugate_pendulum_smooth_control(tight_solver):
     u = ClosedFormControl(lambda t: np.array([np.sin(2.0 * t)]), k=1,
                           span=(problem.t0, problem.T))
     traj = solve_trajectory(problem, u, tight_solver)
-    defect = flow_conjugate_check(problem, traj, 1.1, tight_solver, nodes=201)
-    assert defect < 1e-6
+    # grid index 120 of 201 nodes on [0.5, 1.5] is t = 1.1
+    _, defects = flow_conjugate_profile(problem, traj, [120], tight_solver,
+                                        nodes=201)
+    assert defects[0] < 1e-6
 
 
 def test_flow_conjugate_profile_matches_single_checks(tight_solver):

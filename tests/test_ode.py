@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gramsynth import (NonFiniteState, OdeProblem, OutOfSpan, SolverConfig,
-                       StepLimitExceeded, adapt_step, eval_dense, integrate)
+                       StepLimitExceeded, adapt_step, integrate)
 
 
 def expo(t, y):
@@ -70,7 +70,7 @@ def test_out_of_span_raises():
     with pytest.raises(OutOfSpan):
         sol.eval(1.5)
     with pytest.raises(OutOfSpan):
-        eval_dense(sol, -0.2)
+        sol.eval(-0.2)
 
 
 def test_backward_integration():

@@ -7,9 +7,9 @@ from gramsynth import (GramianMatrix, SingularGramian, SolverConfig,
                        SteeringProblem, SynthesisConfig, ZeroControl,
                        apply_general_map, apply_minimum_energy_map,
                        control_energy, drift_flow, endpoint_error,
-                       energy_certificate, fixed_point_error, linear_system,
-                       make_benchmark, residual, run_picard, simpson_rule,
-                       solve_trajectory)
+                       energy_certificate, fixed_point_error,
+                       flow_input_product, linear_system, make_benchmark,
+                       residual, run_picard, simpson_rule, solve_trajectory)
 from gramsynth.controls import ClosedFormControl, SynthesizedControl
 from gramsynth.picard import _resolve_problem
 from tests.conftest import lti_min_energy_control
@@ -43,20 +43,27 @@ def lti_map_output(lti_pair, paper_solver):
     return u1, traj0, gram, problem
 
 
+def _exact_general_control(u1, traj0, t, solver):
+    """The general map's pointwise formula, one product solve at t."""
+    return flow_input_product(traj0, t, u1.anchor_time, solver).T @ u1.lam
+
+
 def test_synthesized_grid_values_match_exact_formula(lti_map_output,
                                                      paper_solver):
     # grid nodes carry the exact pointwise product formula
     u1, traj0, gram, problem = lti_map_output
-    exact = u1.with_strategy("on_demand")
     for t in u1.grid_ts[::200]:
-        assert np.max(np.abs(u1(float(t)) - exact(float(t)))) < 1e-12
+        exact = _exact_general_control(u1, traj0, float(t), paper_solver)
+        assert np.max(np.abs(u1(float(t)) - exact)) < 1e-12
 
 
-def test_synthesized_dense_vs_on_demand_between_nodes(lti_map_output):
-    u1 = lti_map_output[0]
-    exact = u1.with_strategy("on_demand")
+def test_synthesized_dense_vs_on_demand_between_nodes(lti_map_output,
+                                                      paper_solver):
+    # the spline between nodes stays close to the pointwise formula
+    u1, traj0, gram, problem = lti_map_output
     for t in (0.123, 0.5501, 0.997):
-        assert np.max(np.abs(u1(t) - exact(t))) < 1e-8
+        exact = _exact_general_control(u1, traj0, t, paper_solver)
+        assert np.max(np.abs(u1(t) - exact)) < 1e-8
 
 
 def test_synthesized_control_carries_multiplier(lti_map_output):
@@ -208,8 +215,6 @@ def test_synthesis_config_validation():
         SynthesisConfig(eps_x=0.0)
     with pytest.raises(ValueError):
         SynthesisConfig(anchor=3)
-    with pytest.raises(ValueError):
-        SynthesisConfig(eval_strategy="lazy")
     c = SynthesisConfig()
     assert c.resolved_points(3) == 201
     assert c.resolved_points(32) == 1001
@@ -284,20 +289,6 @@ def test_certificate_at_fixed_point(paper_solver):
     y = residual(problem, paper_solver)
     E = control_energy(u, 0.0, 1.5)
     assert abs(0.5 * float(y @ u.lam) - E) <= 1e-4 * E
-
-
-def test_dense_vs_on_demand_strategies(paper_solver):
-    # both evaluation strategies drive the iteration to the same control
-    system, problem = make_benchmark("pendulum")
-    common = dict(map_kind="general", n_max=6, eps_x=1e-12, eps_u=1e-12,
-                  quadrature_points=101, solver=paper_solver)
-    u_dense, _, _ = run_picard(problem, SynthesisConfig(
-        eval_strategy="dense", dense_grid_points=2001, **common))
-    u_exact, _, _ = run_picard(problem, SynthesisConfig(
-        eval_strategy="on_demand", **common))
-    ts = np.linspace(problem.t0, problem.T, 101)
-    diff = np.max(np.abs(u_dense.eval_many(ts) - u_exact.eval_many(ts)))
-    assert diff < 1e-5
 
 
 def test_divergence_guard_rule():
