@@ -7,8 +7,6 @@ controllability structure (the driftless unicycle is near-immediate, the
 underactuated Hopfield needs more passes than the fully actuated one).
 """
 
-import numpy as np
-
 from gramsynth import SolverConfig, SynthesisConfig, make_benchmark, run_picard
 
 SYSTEMS = ["unicycle", "pendulum", "sir", "spacecraft",

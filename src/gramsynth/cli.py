@@ -1,9 +1,9 @@
 """Command-line experiment runner.
 
 Subcommands: synthesize, scale, underactuated, baseline, reference.
-Common flags (--out, --seed, --format, --workers) override the config
-file; environment variables prefixed GRAMSYNTH_ (OUT, SEED, FORMAT,
-WORKERS) supply defaults for the flags.  Exit code 0 means the run ended
+Common flags (--out, --seed, --format) override the config file;
+environment variables prefixed GRAMSYNTH_ (OUT, SEED, FORMAT) supply
+defaults for the flags.  Exit code 0 means the run ended
 on a successful termination criterion.
 """
 
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from .errors import ConfigError, GramsynthError
 from .harness import (ExperimentConfig, run_baseline, run_reference,
@@ -49,8 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="root seed (overrides config)")
         p.add_argument("--format", choices=("csv", "json"),
                        help="telemetry export format")
-        p.add_argument("--workers", type=int,
-                       help="parallel workers for product solves")
     return parser
 
 
@@ -58,7 +55,6 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     out = args.out or _env("OUT")
     seed = args.seed if args.seed is not None else _env("SEED", int)
     fmt = args.format or _env("FORMAT")
-    workers = args.workers if args.workers is not None else _env("WORKERS", int)
     if out is not None:
         cfg.out_dir = out
     if seed is not None:
@@ -67,8 +63,6 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         if fmt not in ("csv", "json"):
             raise ConfigError("--format must be csv or json")
         cfg.export_format = fmt
-    if workers is not None:
-        cfg.synthesis = replace(cfg.synthesis, workers=workers)
     cfg.raw["out_dir"] = cfg.out_dir
     cfg.raw.setdefault("export", {})["format"] = cfg.export_format
     return cfg

@@ -41,7 +41,10 @@ class ZeroControl(ControlFunction):
 
 
 class ClosedFormControl(ControlFunction):
-    """User-supplied map; must be picklable for parallel product solves."""
+    """User-supplied map u(t) -> (k,).
+
+    ``vectorized`` means ``fn`` also maps an array of n times to (n, k).
+    """
 
     def __init__(self, fn: Callable[[float], np.ndarray], k: int,
                  span: Tuple[float, float], vectorized: bool = False):

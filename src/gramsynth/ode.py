@@ -1,11 +1,15 @@
 """Adaptive embedded Runge-Kutta integration with dense output.
 
-The default method is the 8th-order Dormand-Prince pair (DOP853) with its
-degree-7 companion interpolant; a 5(4) pair (DOPRI5, quartic interpolant)
-can substitute via ``SolverConfig.method``.  Step sizes are chosen by a
+The method is the 8th-order Dormand-Prince pair (DOP853) with its degree-7
+companion interpolant.  Step sizes are chosen by a
 proportional-integral-derivative controller whose default gains (0, 1, 0)
 reduce to the classical integral controller.  Backward integration
 (``t_end < t_start``) is supported directly by stepping with negative h.
+
+A 2-D initial state (B, n) is a batch of B independent rows stepped in
+lockstep: the rows share one step sequence, and a step is accepted on the
+largest of the rows' error norms, so every row meets rtol/atol as it
+would solved alone (Hairer, Norsett & Wanner, "Solving ODEs I", II.4).
 """
 
 from __future__ import annotations
@@ -25,9 +29,6 @@ MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 H_MIN_FRACTION = 1e-14
 
-_ERROR_ORDER = {"dop853": tb.DOP853_ERROR_ORDER, "dopri5": tb.DOPRI5_ERROR_ORDER}
-_INTERP_ORDER = {"dop853": 7, "dopri5": 4}
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -44,7 +45,6 @@ class SolverConfig:
     initial_step: Optional[float] = None
     controller_gains: Tuple[float, float, float] = (0.0, 1.0, 0.0)
     safety_factor: float = 0.9
-    method: str = "dop853"
 
     def __post_init__(self):
         if not (self.rtol > 0.0 and self.atol > 0.0):
@@ -53,15 +53,17 @@ class SolverConfig:
             raise ValueError("max_steps must be >= 1")
         if len(self.controller_gains) != 3:
             raise ValueError("controller_gains must be a (p, i, d) triple")
-        if self.method not in _ERROR_ORDER:
-            raise ValueError(f"unknown method {self.method!r}")
         if not (0.0 < self.safety_factor <= 1.0):
             raise ValueError("safety_factor must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
 class OdeProblem:
-    """First-order IVP dy/dt = vector_field(t, y) on [t_start, t_end]."""
+    """First-order IVP dy/dt = vector_field(t, y) on [t_start, t_end].
+
+    ``y0`` is one state (n,) or a batch of rows (B, n); the vector field
+    takes and returns arrays of the shape of ``y0``.
+    """
 
     vector_field: Callable[[float, np.ndarray], np.ndarray]
     t_start: float
@@ -84,7 +86,7 @@ def adapt_step(error_norm: float, h: float, config: SolverConfig,
     to [0.2, 10] times h.
     """
     p, i, d = config.controller_gains
-    k = _ERROR_ORDER[config.method] + 1
+    k = tb.DOP853_ERROR_ORDER + 1
     beta = ((p + i + d) / k, -(p + 2.0 * d) / k, d / k)
     errs = (error_norm,) + tuple(history[:2]) + (1.0, 1.0)
     factor = config.safety_factor
@@ -99,8 +101,13 @@ def adapt_step(error_norm: float, h: float, config: SolverConfig,
     return h * factor
 
 
-def _initial_step(fun, t0, y0, f0, direction, span, order, rtol, atol):
-    """Automatic starting step (Hairer-Norsett-Wanner heuristic)."""
+def _initial_step(fun, t0, y0, f0, direction, span, rtol, atol):
+    """Automatic starting step (Hairer-Norsett-Wanner heuristic).
+
+    Taken over the whole flat state, batches included: it is only a first
+    guess, and the per-row error control corrects it.
+    """
+    order = tb.DOP853_ERROR_ORDER
     scale = atol + np.abs(y0) * rtol
     d0 = _rms(y0 / scale)
     d1 = _rms(f0 / scale)
@@ -120,20 +127,24 @@ def _rms(x):
     return float(np.linalg.norm(x)) / math.sqrt(x.size)
 
 
+def _row_sq_norms(x):
+    """Squared Euclidean norm of each row of a 2-D array (as ``r @ r``)."""
+    return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
+
+
 @dataclass
 class DenseSolution:
     """Continuously evaluable result of one adaptive integration.
 
     Knots ``ts`` are stored in integration order (descending for backward
-    solves).  Evaluation at a knot returns the solver's discrete state
-    there exactly; between knots the per-step interpolant is used
-    (degree 7 for dop853, degree 4 for dopri5).
+    solves); ``ys[j]`` has the shape of the initial state.  Evaluation at a
+    knot returns the solver's discrete state there exactly; between knots
+    the degree-7 per-step interpolant is used.
     """
 
     ts: np.ndarray
     ys: np.ndarray
-    method: str
-    segments: Optional[np.ndarray]  # (n_segs, 7, d) dop853 / (n_segs, d, 4) dopri5
+    segments: Optional[np.ndarray]  # (n_segs, 7, *state shape)
     n_accepted: int
     n_rejected: int
     _ts_asc: np.ndarray = field(init=False, repr=False)
@@ -150,10 +161,6 @@ class DenseSolution:
     @property
     def step_count(self) -> int:
         return len(self.ts) - 1
-
-    @property
-    def interpolation_order(self) -> int:
-        return _INTERP_ORDER[self.method]
 
     def _locate(self, t: float) -> int:
         """Index into ``self.ts`` of the segment containing t (ascending)."""
@@ -178,15 +185,12 @@ class DenseSolution:
         if t == self.ts[j + 1]:
             return self.ys[j + 1].copy()
         x = (t - self.ts[j]) / (self.ts[j + 1] - self.ts[j])
-        if self.method == "dop853":
-            return _interp_dop853(self.segments[j], self.ys[j], x)
-        return _interp_dopri5(self.segments[j], self.ys[j],
-                              self.ts[j + 1] - self.ts[j], x)
+        return _interp_dop853(self.segments[j], self.ys[j], x)
 
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized `eval`; returns an array of shape (len(ts), d)."""
+        """Vectorized `eval`; returns an array of shape (len(ts), *state)."""
         ts = np.asarray(ts, dtype=float)
-        out = np.empty((ts.size, self.ys.shape[1]))
+        out = np.empty((ts.size,) + self.ys.shape[1:])
         for i, t in enumerate(ts.ravel()):
             out[i] = self.eval(float(t))
         return out
@@ -204,51 +208,52 @@ def _interp_dop853(F, y_old, x):
     return y + y_old
 
 
-def _interp_dopri5(Q, y_old, h, x):
-    p = np.cumprod(np.full(4, x))
-    return y_old + h * (Q @ p)
-
-
 def integrate(problem: OdeProblem, config: SolverConfig = SolverConfig(),
               dense: bool = True) -> DenseSolution:
     """Integrate ``problem`` adaptively, returning a dense solution.
 
-    ``dense=False`` skips interpolant construction (and, for dop853, the
-    three extra stages it needs); the result then only supports knot access
-    and endpoint queries via ``ys[-1]``.
+    A batch ``y0`` of shape (B, n) is stepped in lockstep; each step is
+    accepted only if every row's error norm is at most 1.
+
+    ``dense=False`` skips interpolant construction (and the three extra
+    stages it needs); the result then only supports knot access and
+    endpoint queries via ``ys[-1]``.
 
     Raises `StepLimitExceeded` when ``config.max_steps`` step attempts are
     spent, `NonFiniteState` when the state or error estimate goes NaN/Inf.
     """
-    fun = problem.vector_field
     t0, t1 = float(problem.t_start), float(problem.t_end)
-    y = np.array(problem.y0, dtype=float, copy=True).ravel()
-    n = y.size
-
-    f0 = np.asarray(fun(t0, y), dtype=float)
-    if f0.shape != y.shape:
+    y = np.array(problem.y0, dtype=float, copy=True)
+    shape = y.shape
+    if y.ndim not in (1, 2):
+        raise ValueError("y0 must be one state (n,) or a batch (B, n)")
+    n = shape[-1]
+    f0 = np.asarray(problem.vector_field(t0, y), dtype=float)
+    if f0.shape != shape:
         raise ValueError("vector_field output dimension does not match y0")
     if not np.all(np.isfinite(f0)):
         raise NonFiniteState("vector field non-finite at initial state")
+
+    # The stepper works on the flat state; a batch field sees (B, n) rows.
+    fun = problem.vector_field
+    if y.ndim == 2:
+        def fun(t, z, field=problem.vector_field):
+            return field(t, z.reshape(shape)).reshape(-1)
+    y = y.ravel()
+    f0 = f0.ravel()
 
     direction = 1.0 if t1 > t0 else -1.0
     span = abs(t1 - t0)
     h_min = H_MIN_FRACTION * span
 
-    if config.method == "dop853":
-        n_stages = tb.DOP853_N_STAGES
-        K = np.empty((tb.DOP853_N_STAGES_EXTENDED, n))
-        A, B, C = tb.DOP853_A, tb.DOP853_B, tb.DOP853_C
-    else:
-        n_stages = tb.DOPRI5_N_STAGES
-        K = np.empty((n_stages + 1, n))
-        A, B, C = tb.DOPRI5_A, tb.DOPRI5_B, tb.DOPRI5_C
+    n_stages = tb.DOP853_N_STAGES
+    K = np.empty((tb.DOP853_N_STAGES_EXTENDED, y.size))
+    A, B, C = tb.DOP853_A, tb.DOP853_B, tb.DOP853_C
 
     if config.initial_step is not None:
         h_abs = min(abs(config.initial_step), span)
     else:
         h_abs = _initial_step(fun, t0, y, f0, direction, span,
-                              _ERROR_ORDER[config.method],
                               config.rtol, config.atol)
     h_abs = max(h_abs, h_min)
 
@@ -276,7 +281,6 @@ def integrate(problem: OdeProblem, config: SolverConfig = SolverConfig(),
             h = t_new - t
             h_abs = abs(h)
 
-        # Stage sweep shared by both pairs.
         K[0] = f_cur
         for s in range(1, n_stages):
             dy = (K[:s].T @ A[s, :s]) * h
@@ -288,27 +292,19 @@ def integrate(problem: OdeProblem, config: SolverConfig = SolverConfig(),
         if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(f_new))):
             raise NonFiniteState(f"non-finite state near t={t_new}")
 
+        # DOP853 error norm of each row; the step answers to the largest.
         scale = config.atol + config.rtol * np.maximum(np.abs(y), np.abs(y_new))
-        if config.method == "dop853":
-            err5 = (K[:n_stages + 1].T @ tb.DOP853_E5) / scale
-            err3 = (K[:n_stages + 1].T @ tb.DOP853_E3) / scale
-            e5sq = float(err5 @ err5)
-            e3sq = float(err3 @ err3)
-            if e5sq == 0.0 and e3sq == 0.0:
-                error_norm = 0.0
-            else:
-                error_norm = abs(h) * e5sq / math.sqrt((e5sq + 0.01 * e3sq) * n)
-        else:
-            err = (K.T @ tb.DOPRI5_E) * h / scale
-            error_norm = _rms(err)
+        e5sq = _row_sq_norms(
+            ((K[:n_stages + 1].T @ tb.DOP853_E5) / scale).reshape(-1, n))
+        e3sq = _row_sq_norms(
+            ((K[:n_stages + 1].T @ tb.DOP853_E3) / scale).reshape(-1, n))
+        den = np.sqrt((e5sq + 0.01 * e3sq) * n)
+        error_norm = float(np.max(abs(h) * e5sq / np.where(den > 0.0, den, 1.0)))
 
         if error_norm <= 1.0:
             if dense:
-                if config.method == "dop853":
-                    segs.append(_dense_coeffs_dop853(fun, t, y, y_new,
-                                                     f_cur, f_new, h, K))
-                else:
-                    segs.append(K.T @ tb.DOPRI5_P)
+                segs.append(_dense_coeffs_dop853(fun, t, y, y_new,
+                                                 f_cur, f_new, h, K))
             h_next = adapt_step(error_norm, h_abs, config, err_history)
             if last_rejected:
                 h_next = min(h_next, h_abs)
@@ -317,7 +313,7 @@ def integrate(problem: OdeProblem, config: SolverConfig = SolverConfig(),
             y = y_new
             f_cur = f_new
             ts.append(t)
-            ys.append(y.copy())
+            ys.append(y)
             h_abs = h_next
             n_accepted += 1
             last_rejected = False
@@ -328,8 +324,9 @@ def integrate(problem: OdeProblem, config: SolverConfig = SolverConfig(),
             last_rejected = True
 
     return DenseSolution(
-        ts=np.asarray(ts), ys=np.asarray(ys), method=config.method,
-        segments=np.asarray(segs) if dense else None,
+        ts=np.asarray(ts), ys=np.asarray(ys).reshape((-1,) + shape),
+        segments=(np.asarray(segs).reshape((-1, tb.DOP853_INTERP_POWER)
+                                           + shape) if dense else None),
         n_accepted=n_accepted, n_rejected=n_rejected)
 
 

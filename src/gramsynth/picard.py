@@ -53,7 +53,6 @@ class SynthesisConfig:
     quadrature_points: Optional[int] = None
     solver: SolverConfig = field(default_factory=SolverConfig)
     regularization: Optional[float] = None
-    workers: int = 1
     fp_grid_points: int = 1001
     energy_points: int = 1001
 
@@ -130,8 +129,7 @@ def apply_general_map(problem, u: ControlFunction,
     tau = problem.anchor_time
     traj = solve_trajectory(problem, u, config.solver)
     rule = simpson_rule(problem.t0, problem.T, config.resolved_points(d))
-    D = flow_input_products(traj, rule.nodes, tau, config.solver,
-                            config.workers)
+    D = flow_input_products(traj, rule.nodes, tau, config.solver)
     gram = assemble_symmetric_from_samples(D, rule)
     y = residual(problem, config.solver)
     sol = solve_gramian(gram, y, reg=config.resolved_regularization(d),
@@ -150,8 +148,7 @@ def apply_minimum_energy_map(problem, u: ControlFunction,
     tau = problem.anchor_time
     traj = solve_trajectory(problem, u, config.solver)
     rule = simpson_rule(problem.t0, problem.T, config.resolved_points(d))
-    D = flow_input_products(traj, rule.nodes, tau, config.solver,
-                            config.workers)
+    D = flow_input_products(traj, rule.nodes, tau, config.solver)
     C = chain_input_products(traj, u, rule.nodes, tau, config.solver)
     gram = assemble_mixed_from_samples(D, C, rule)
     y = residual(problem, config.solver)

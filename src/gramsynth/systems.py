@@ -1,16 +1,16 @@
 """Control-affine system abstraction and the benchmark catalog.
 
 A system is the pair (N, B) of dx/dt = N_t(x) + B_t(x) u together with
-analytic Jacobian providers.  All catalog entries are built from
-module-level functions (picklable, so product solves can run in worker
-processes).  `jacobian_fd` is the finite-difference oracle used by the
-test suite to validate every analytic Jacobian.
+analytic Jacobian providers.  The drift and its Jacobian take a batch of
+states, so the variational solves of many samples run as one lockstep
+batch.  `jacobian_fd` is the finite-difference oracle used by the test
+suite to validate every analytic Jacobian.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
@@ -24,7 +24,13 @@ Field = Callable[[float, np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class ControlAffineSystem:
-    """The tuple (N, B, D_xN, D_x[N + Bu]) with dimensions d and k."""
+    """The tuple (N, B, D_xN, D_x[N + Bu]) with dimensions d and k.
+
+    ``drift(t, x)`` and ``drift_jacobian(t, x)`` accept a batch of states x
+    of shape (..., d), with t a scalar or an array of shape x.shape[:-1],
+    and return (..., d) and (..., d, d).  ``input_matrix(t, x)`` (d, k)
+    and ``closed_loop_jacobian(t, x, u)`` (d, d) take one state.
+    """
 
     name: str
     d: int
@@ -99,14 +105,14 @@ def drift_flow(system: ControlAffineSystem, s: float, t: float,
 
 
 # ---------------------------------------------------------------------------
-# catalog vector fields (module level so systems pickle across processes)
+# catalog vector fields; drifts and drift Jacobians act on (..., d) batches
 
 def _zero_drift(t, x):
     return np.zeros_like(x)
 
 
 def _zero_jac(t, x):
-    return np.zeros((x.size, x.size))
+    return np.zeros(x.shape + x.shape[-1:])
 
 
 def _unicycle_input(t, x):
@@ -129,14 +135,19 @@ _PEND_BETA = 0.13
 
 
 def _pend_b(t):
-    return (1.0 + 0.5 * math.cos(t)) ** -2
+    return (1.0 + 0.5 * np.cos(t)) ** -2
+
+
+def _pend_coeffs(t):
+    """Stiffness a(t) and damping g(t) of the time-varying pendulum."""
+    b = _pend_b(t)
+    return _PEND_LAM ** 2 * np.sqrt(b), -b * np.sin(t) + _PEND_BETA * _PEND_LAM
 
 
 def _pend_drift(t, x):
-    b = _pend_b(t)
-    a = _PEND_LAM ** 2 * math.sqrt(b)
-    g = -b * math.sin(t) + _PEND_BETA * _PEND_LAM
-    return np.array([x[1], -a * math.sin(x[0]) - g * x[1]])
+    a, g = _pend_coeffs(t)
+    th, om = x[..., 0], x[..., 1]
+    return np.stack([om, -a * np.sin(th) - g * om], axis=-1)
 
 
 def _pend_input(t, x):
@@ -144,10 +155,12 @@ def _pend_input(t, x):
 
 
 def _pend_jac(t, x):
-    b = _pend_b(t)
-    a = _PEND_LAM ** 2 * math.sqrt(b)
-    g = -b * math.sin(t) + _PEND_BETA * _PEND_LAM
-    return np.array([[0.0, 1.0], [-a * math.cos(x[0]), -g]])
+    a, g = _pend_coeffs(t)
+    J = np.zeros(x.shape + (2,))
+    J[..., 0, 1] = 1.0
+    J[..., 1, 0] = -a * np.cos(x[..., 0])
+    J[..., 1, 1] = -g
+    return J
 
 
 def _pend_cl_jac(t, x, u):
@@ -158,12 +171,12 @@ _SIR_LAM, _SIR_BETA, _SIR_MU, _SIR_GAM = 1.0, 2.0, 0.2, 1.0
 
 
 def _sir_drift(t, x):
-    S, I, R = x
-    return np.array([
+    S, I, R = x[..., 0], x[..., 1], x[..., 2]
+    return np.stack([
         _SIR_LAM - _SIR_BETA * S * I - _SIR_MU * S,
         _SIR_BETA * S * I - (_SIR_MU + _SIR_GAM) * I,
         _SIR_GAM * I - _SIR_MU * R,
-    ])
+    ], axis=-1)
 
 
 def _sir_input(t, x):
@@ -171,17 +184,19 @@ def _sir_input(t, x):
 
 
 def _sir_jac(t, x):
-    S, I, _ = x
-    return np.array([
-        [-_SIR_BETA * I - _SIR_MU, -_SIR_BETA * S, 0.0],
-        [_SIR_BETA * I, _SIR_BETA * S - _SIR_MU - _SIR_GAM, 0.0],
-        [0.0, _SIR_GAM, -_SIR_MU],
-    ])
+    S, I = x[..., 0], x[..., 1]
+    J = np.zeros(x.shape + (3,))
+    J[..., 0, 0] = -_SIR_BETA * I - _SIR_MU
+    J[..., 0, 1] = -_SIR_BETA * S
+    J[..., 1, 0] = _SIR_BETA * I
+    J[..., 1, 1] = _SIR_BETA * S - _SIR_MU - _SIR_GAM
+    J[..., 2, 1] = _SIR_GAM
+    J[..., 2, 2] = -_SIR_MU
+    return J
 
 
 def _sir_cl_jac(t, x, u):
     J = _sir_jac(t, x)
-    J = J.copy()
     J[0, 0] -= u[0]
     return J
 
@@ -193,19 +208,19 @@ _SC_A = np.array([(_SC_J[1] - _SC_J[2]) / _SC_J[0],
 
 
 def _spacecraft_drift(t, x):
-    phi, th = x[0], x[1]
-    w1, w2, w3 = x[3], x[4], x[5]
-    sphi, cphi = math.sin(phi), math.cos(phi)
-    tth, cth = math.tan(th), math.cos(th)
+    phi, th = x[..., 0], x[..., 1]
+    w1, w2, w3 = x[..., 3], x[..., 4], x[..., 5]
+    sphi, cphi = np.sin(phi), np.cos(phi)
+    tth, cth = np.tan(th), np.cos(th)
     m = w2 * sphi + w3 * cphi
-    return np.array([
+    return np.stack([
         w1 + tth * m,
         w2 * cphi - w3 * sphi,
         m / cth,
         _SC_A[0] * w2 * w3,
         _SC_A[1] * w3 * w1,
         _SC_A[2] * w1 * w2,
-    ])
+    ], axis=-1)
 
 
 def _spacecraft_input(t, x):
@@ -215,27 +230,31 @@ def _spacecraft_input(t, x):
 
 
 def _spacecraft_jac(t, x):
-    phi, th = x[0], x[1]
-    w1, w2, w3 = x[3], x[4], x[5]
-    sphi, cphi = math.sin(phi), math.cos(phi)
-    tth, cth = math.tan(th), math.cos(th)
+    phi, th = x[..., 0], x[..., 1]
+    w1, w2, w3 = x[..., 3], x[..., 4], x[..., 5]
+    sphi, cphi = np.sin(phi), np.cos(phi)
+    tth, cth = np.tan(th), np.cos(th)
     m = w2 * sphi + w3 * cphi          # appears in phi-dot and psi-dot
     mp = w2 * cphi - w3 * sphi         # its phi-derivative
-    J = np.zeros((6, 6))
-    J[0, 0] = tth * mp
-    J[0, 1] = m / cth ** 2
-    J[0, 3:] = [1.0, tth * sphi, tth * cphi]
-    J[1, 0] = -m
-    J[1, 3:] = [0.0, cphi, -sphi]
-    J[2, 0] = mp / cth
-    J[2, 1] = m * tth / cth
-    J[2, 3:] = [0.0, sphi / cth, cphi / cth]
-    J[3, 4] = _SC_A[0] * w3
-    J[3, 5] = _SC_A[0] * w2
-    J[4, 3] = _SC_A[1] * w3
-    J[4, 5] = _SC_A[1] * w1
-    J[5, 3] = _SC_A[2] * w2
-    J[5, 4] = _SC_A[2] * w1
+    J = np.zeros(x.shape + (6,))
+    J[..., 0, 0] = tth * mp
+    J[..., 0, 1] = m / cth ** 2
+    J[..., 0, 3] = 1.0
+    J[..., 0, 4] = tth * sphi
+    J[..., 0, 5] = tth * cphi
+    J[..., 1, 0] = -m
+    J[..., 1, 4] = cphi
+    J[..., 1, 5] = -sphi
+    J[..., 2, 0] = mp / cth
+    J[..., 2, 1] = m * tth / cth
+    J[..., 2, 4] = sphi / cth
+    J[..., 2, 5] = cphi / cth
+    J[..., 3, 4] = _SC_A[0] * w3
+    J[..., 3, 5] = _SC_A[0] * w2
+    J[..., 4, 3] = _SC_A[1] * w3
+    J[..., 4, 5] = _SC_A[1] * w1
+    J[..., 5, 3] = _SC_A[2] * w2
+    J[..., 5, 4] = _SC_A[2] * w1
     return J
 
 
@@ -248,12 +267,12 @@ _HOP_W = np.array([[0.5, -1.5], [1.5, -0.5]])
 
 
 def _hopfield_drift(t, x):
-    return -_HOP_DECAY * x + _HOP_W @ np.tanh(x)
+    return -_HOP_DECAY * x + np.tanh(x) @ _HOP_W.T
 
 
 def _hopfield_jac(t, x):
     s = 1.0 - np.tanh(x) ** 2
-    return -np.diag(_HOP_DECAY) + _HOP_W * s[None, :]
+    return -np.diag(_HOP_DECAY) + _HOP_W * s[..., None, :]
 
 
 def _hopfield_cl_jac(t, x, u):
@@ -282,11 +301,11 @@ def _mindy_psi_deriv(x, alpha, beta):
 
 
 def _mindy_drift(t, x, W, decay, alpha, beta):
-    return -decay * x + W @ _mindy_psi(x, alpha, beta)
+    return -decay * x + _mindy_psi(x, alpha, beta) @ W.T
 
 
 def _mindy_jac(t, x, W, decay, alpha, beta):
-    return -np.diag(decay) + W * _mindy_psi_deriv(x, alpha, beta)[None, :]
+    return -np.diag(decay) + W * _mindy_psi_deriv(x, alpha, beta)[..., None, :]
 
 
 def _mindy_cl_jac(t, x, u, W, decay, alpha, beta):
@@ -294,11 +313,11 @@ def _mindy_cl_jac(t, x, u, W, decay, alpha, beta):
 
 
 def _lti_drift(t, x, A):
-    return A @ x
+    return x @ A.T
 
 
 def _lti_jac(t, x, A):
-    return np.array(A)
+    return np.broadcast_to(A, x.shape[:-1] + A.shape).copy()
 
 
 def _lti_cl_jac(t, x, u, A):

@@ -9,6 +9,7 @@ from gramsynth import (SteeringProblem, ZeroControl, chain_input_products,
                        flow_conjugate_profile, flow_input_product,
                        flow_input_products, drift_flow, linear_system,
                        make_benchmark, residual, solve_trajectory)
+from gramsynth import flow
 from gramsynth.controls import ClosedFormControl
 
 
@@ -221,6 +222,49 @@ def test_chain_products_match_per_sample_reference(name, tight_solver):
                 1.0, np.max(np.abs(ref)))
 
 
+def _reference_flow_product(system, x_t, t, tau):
+    """Per-sample flow-input product from scipy alone."""
+    d, k = system.d, system.k
+    B_t = system.input_matrix(t, x_t)
+    if t == tau:
+        return B_t
+
+    def variational(s, z):
+        y, Y = z[:d], z[d:].reshape(d, k)
+        J = system.drift_jacobian(s, y)
+        return np.concatenate([system.drift(s, y), (J @ Y).ravel()])
+
+    z0 = np.concatenate([x_t, B_t.ravel()])
+    z = solve_ivp(variational, (t, tau), z0, method="DOP853", rtol=1e-12,
+                  atol=1e-14).y[:, -1]
+    return z[d:].reshape(d, k)
+
+
+@pytest.mark.parametrize("name,params", [("pendulum", {}),
+                                         ("hopfield2d_full", {}),
+                                         ("mindy_like", {"d": 8, "k": 4})])
+def test_flow_products_match_per_sample_reference(name, params, tight_solver,
+                                                  monkeypatch):
+    system, problem = make_benchmark(name, params)
+    u = ClosedFormControl(lambda t: np.full(system.k, np.sin(3.0 * t)),
+                          k=system.k, span=(problem.t0, problem.T))
+    traj = solve_trajectory(problem, u, tight_solver)
+    ts = np.linspace(problem.t0, problem.T, 9)
+    row = system.d + system.d * system.k
+    for tau in (problem.t0, problem.T):
+        refs = [_reference_flow_product(system, traj.state(t), t, tau)
+                for t in ts]
+        # one batch of all nine samples, then batches of two rows
+        for elements in (flow._BATCH_ELEMENTS, 2 * row):
+            monkeypatch.setattr(flow, "_BATCH_ELEMENTS", elements)
+            D = flow_input_products(traj, ts, tau, tight_solver)
+            for t, D_t, ref in zip(ts, D, refs):
+                if t == tau:
+                    assert np.array_equal(D_t, ref)
+                assert np.max(np.abs(D_t - ref)) <= 1e-9 * max(
+                    1.0, np.max(np.abs(ref)))
+
+
 def test_products_are_pure(lti3, tight_solver):
     A, B, system, problem, u, traj = lti3
     a = flow_input_product(traj, 0.3, 1.5, tight_solver)
@@ -229,14 +273,6 @@ def test_products_are_pure(lti3, tight_solver):
     c = _chain(traj, u, 0.3, 0.0, tight_solver)
     d = _chain(traj, u, 0.3, 0.0, tight_solver)
     assert np.array_equal(c, d)
-
-
-def test_batch_products_worker_invariance(lti3, tight_solver):
-    A, B, system, problem, u, traj = lti3
-    ts = np.linspace(0.0, 1.5, 9)
-    one = flow_input_products(traj, ts, 1.5, tight_solver, workers=1)
-    two = flow_input_products(traj, ts, 1.5, tight_solver, workers=2)
-    assert np.array_equal(one, two)
 
 
 def test_flow_conjugate_zero_control(tight_solver):

@@ -3,7 +3,6 @@
 import copy
 import csv
 import json
-import os
 
 import numpy as np
 import pytest
@@ -102,16 +101,6 @@ def test_run_determinism_modulo_timing(tmp_path):
     assert _strip_wall(a.telemetry) == _strip_wall(b.telemetry)
     assert a.control_samples == b.control_samples
     assert a.trajectory_samples == b.trajectory_samples
-
-
-def test_worker_count_invariance(tmp_path):
-    base = copy.deepcopy(FAST_UNICYCLE)
-    base["synthesis"]["workers"] = 1
-    one = run_synthesize(_cfg(tmp_path, base=base))
-    base["synthesis"]["workers"] = 2
-    two = run_synthesize(_cfg(tmp_path, base=base))
-    assert _strip_wall(one.telemetry) == _strip_wall(two.telemetry)
-    assert one.control_samples == two.control_samples
 
 
 def test_synthesize_error_artifact(tmp_path):

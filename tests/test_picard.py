@@ -2,15 +2,17 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from gramsynth import (GramianMatrix, SingularGramian, SolverConfig,
-                       SteeringProblem, SynthesisConfig, ZeroControl,
+from gramsynth import (GramianMatrix, SingularGramian, SteeringProblem,
+                       SynthesisConfig, ZeroControl,
                        apply_general_map, apply_minimum_energy_map,
                        control_energy, drift_flow, endpoint_error,
                        energy_certificate, fixed_point_error,
-                       flow_input_product, linear_system, make_benchmark,
+                       flow_input_products,
+                       linear_system, make_benchmark,
                        residual, run_picard, simpson_rule, solve_trajectory)
-from gramsynth.controls import ClosedFormControl, SynthesizedControl
+from gramsynth.controls import ClosedFormControl
 from gramsynth.picard import _resolve_problem
 from tests.conftest import lti_min_energy_control
 
@@ -43,27 +45,42 @@ def lti_map_output(lti_pair, paper_solver):
     return u1, traj0, gram, problem
 
 
-def _exact_general_control(u1, traj0, t, solver):
-    """The general map's pointwise formula, one product solve at t."""
-    return flow_input_product(traj0, t, u1.anchor_time, solver).T @ u1.lam
+def _exact_general_control(u1, traj0, ts, solver):
+    """The general map's pointwise formula D_t^T lam at times ts.
+
+    The products at ts are solved in one batch with the map's grid nodes,
+    so they share the step sequence of the map's own products.
+    """
+    grid = u1.grid_ts
+    D = flow_input_products(traj0, np.append(grid, ts), u1.anchor_time,
+                            solver)
+    return np.einsum("jim,i->jm", D[grid.size:], u1.lam)
 
 
 def test_synthesized_grid_values_match_exact_formula(lti_map_output,
                                                      paper_solver):
-    # grid nodes carry the exact pointwise product formula
+    # grid nodes carry the exact pointwise product formula, over the
+    # products of the map's own grid solve
     u1, traj0, gram, problem = lti_map_output
-    for t in u1.grid_ts[::200]:
-        exact = _exact_general_control(u1, traj0, float(t), paper_solver)
-        assert np.max(np.abs(u1(float(t)) - exact)) < 1e-12
+    D = flow_input_products(traj0, u1.grid_ts, u1.anchor_time, paper_solver)
+    for j in range(0, len(u1.grid_ts), 200):
+        exact = D[j].T @ u1.lam
+        assert np.max(np.abs(u1(float(u1.grid_ts[j])) - exact)) < 1e-12
 
 
-def test_synthesized_dense_vs_on_demand_between_nodes(lti_map_output,
+def test_synthesized_dense_vs_on_demand_between_nodes(lti_pair,
+                                                      lti_map_output,
                                                       paper_solver):
-    # the spline between nodes stays close to the pointwise formula
+    # the spline between nodes stays close to the pointwise formula, and
+    # both stay close to the LTI closed form B^T expm(A^T (T - t)) lam
+    A, B = lti_pair[:2]
     u1, traj0, gram, problem = lti_map_output
-    for t in (0.123, 0.5501, 0.997):
-        exact = _exact_general_control(u1, traj0, t, paper_solver)
-        assert np.max(np.abs(u1(t) - exact)) < 1e-8
+    ts = np.array([0.123, 0.5501, 0.997])
+    exact = _exact_general_control(u1, traj0, ts, paper_solver)
+    for t, ex in zip(ts, exact):
+        assert np.max(np.abs(u1(t) - ex)) < 1e-8
+        closed = B.T @ expm(A.T * (problem.T - t)) @ u1.lam
+        assert np.max(np.abs(u1(t) - closed)) < 5e-8
 
 
 def test_synthesized_control_carries_multiplier(lti_map_output):

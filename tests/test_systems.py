@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from gramsynth import (SolverConfig, SteeringProblem, UnknownSystem,
-                       drift_flow, jacobian_fd, linear_system, make_benchmark,
-                       mindy_like)
+from gramsynth import (SteeringProblem, UnknownSystem, drift_flow,
+                       jacobian_fd, linear_system, make_benchmark, mindy_like)
 
 DESK_SYSTEMS = ["unicycle", "pendulum", "sir", "spacecraft",
                 "hopfield2d_full", "hopfield2d_under"]
@@ -68,6 +67,36 @@ def test_closed_loop_jacobian_consistency(name):
         J0 = system.closed_loop_jacobian(t, x, np.zeros(system.k))
         if name != "sir" and name != "unicycle":
             assert np.array_equal(J0, system.drift_jacobian(t, x))
+
+
+BATCH_SYSTEMS = {name: (lambda name=name: make_benchmark(name)[0])
+                 for name in DESK_SYSTEMS}
+BATCH_SYSTEMS["lti"] = lambda: linear_system(
+    np.array([[0.0, 1.0, 0.0], [-2.0, -0.3, 0.5], [0.1, 0.0, -1.0]]),
+    np.eye(3)[:, :2])
+BATCH_SYSTEMS["mindy_like"] = lambda: mindy_like(8, 4)
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_SYSTEMS))
+def test_drift_and_jacobian_accept_batches(name):
+    # a (B, d) batch with per-row times equals the stacked per-row calls,
+    # for B != d and for B == d (where a wrong contraction axis still runs)
+    system = BATCH_SYSTEMS[name]()
+    d = system.d
+    rng = np.random.default_rng(3)
+    for B in (d + 3, d):
+        X = rng.normal(scale=0.5, size=(B, d))
+        ts = rng.uniform(0.5, 1.5, size=B)
+        for t_arg, t_rows in ((ts, ts), (0.7, np.full(B, 0.7))):
+            drift = np.stack([system.drift(t, x) for t, x in zip(t_rows, X)])
+            jac = np.stack([system.drift_jacobian(t, x)
+                            for t, x in zip(t_rows, X)])
+            assert system.drift(t_arg, X).shape == (B, d)
+            assert system.drift_jacobian(t_arg, X).shape == (B, d, d)
+            np.testing.assert_allclose(system.drift(t_arg, X), drift,
+                                       rtol=1e-13, atol=1e-14)
+            np.testing.assert_allclose(system.drift_jacobian(t_arg, X), jac,
+                                       rtol=1e-13, atol=1e-14)
 
 
 def test_sir_input_is_state_dependent():
