@@ -4,11 +4,14 @@ A control is an evaluable map t -> R^k on [t0, T].  Three representations
 exist: the zero control, closed-form user maps, and synthesized controls
 carrying the Gramian multiplier.  Synthesized controls store their exact
 values on the synthesis grid and answer queries between grid nodes through
-a cubic interpolant.
+a cubic spline: `eval_many` evaluates a sample grid in one vectorized
+pass, and a scalar call reads the interval's cubic straight from the
+spline's coefficient array.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, Tuple
 
 import numpy as np
@@ -83,20 +86,31 @@ class SynthesizedControl(ControlFunction):
         self.grid_values = np.asarray(grid_values, dtype=float)
         self.solve_info = solve_info
         self._spline = None
+        self._coef = None    # the spline's own (4, K-1, k) array, no copy
+        self._knots = None   # grid_ts as a list, for bisect
 
     def _interpolant(self) -> CubicSpline:
         if self._spline is None:
             bc = "not-a-knot" if self.grid_ts.size >= 4 else "natural"
             self._spline = CubicSpline(self.grid_ts, self.grid_values,
                                        axis=0, bc_type=bc)
+            self._coef = self._spline.c
+            self._knots = self.grid_ts.tolist()
         return self._spline
 
     def __call__(self, t: float) -> np.ndarray:
+        """The scalar path: exact at grid nodes, else the interval's cubic."""
         t = float(t)
-        idx = np.searchsorted(self.grid_ts, t)
-        if idx < self.grid_ts.size and self.grid_ts[idx] == t:
-            return self.grid_values[idx].copy()
-        return np.asarray(self._interpolant()(t), dtype=float).reshape(self.k)
+        if self._coef is None:
+            self._interpolant()
+        knots = self._knots
+        i = bisect_left(knots, t)
+        if i < len(knots) and knots[i] == t:
+            return self.grid_values[i].copy()
+        i = min(max(i - 1, 0), len(knots) - 2)   # end cubics extrapolate
+        dx = t - knots[i]
+        dx2 = dx * dx
+        return np.array((dx2 * dx, dx2, dx, 1.0)) @ self._coef[:, i]
 
     def eval_many(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float).ravel()
@@ -111,5 +125,6 @@ class SynthesizedControl(ControlFunction):
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["_spline"] = None   # rebuilt lazily; keeps pickles small
+        # rebuilt lazily; keeps pickles small
+        state.update(_spline=None, _coef=None, _knots=None)
         return state

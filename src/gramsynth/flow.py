@@ -120,6 +120,19 @@ def flow_input_product(traj: Trajectory, t: float, tau: float,
     return flow_input_products(traj, [t], tau, config)[0]
 
 
+def _chunks(ts, d, k):
+    """Consecutive slices of ts, each of _BATCH_ELEMENTS // (d + d*k)."""
+    chunk = max(1, _BATCH_ELEMENTS // (d + d * k))
+    return [slice(lo, lo + chunk) for lo in range(0, ts.size, chunk)]
+
+
+def _input_matrices(sys_, t, x, out):
+    """B_t(x) of every (t[i], x[i]) into out[i]; returns out."""
+    for i in range(t.size):
+        out[i] = sys_.input_matrix(t[i], x[i])
+    return out
+
+
 def flow_input_products(traj: Trajectory, ts, tau: float,
                         config: SolverConfig = SolverConfig()) -> np.ndarray:
     """Flow-input products at sample times ts; shape (len(ts), d, k).
@@ -128,16 +141,12 @@ def flow_input_products(traj: Trajectory, ts, tau: float,
     ``_BATCH_ELEMENTS``; a sample at t == tau is B_t exactly.
     """
     sys_ = traj.system
-    d, k = sys_.d, sys_.k
     ts = np.asarray(ts, dtype=float).ravel()
-    out = np.empty((ts.size, d, k))
-    chunk = max(1, _BATCH_ELEMENTS // (d + d * k))
-    for lo in range(0, ts.size, chunk):
-        t = ts[lo:lo + chunk]
+    out = np.empty((ts.size, sys_.d, sys_.k))
+    for part in _chunks(ts, sys_.d, sys_.k):
+        t = ts[part]
         x = traj.solution.eval_many(t)
-        block = out[lo:lo + chunk]
-        for i in range(t.size):
-            block[i] = sys_.input_matrix(t[i], x[i])
+        block = _input_matrices(sys_, t, x, out[part])
         moving = t != tau
         if moving.any():
             block[moving] = _drift_variational(sys_, t[moving], tau,
@@ -159,10 +168,12 @@ def chain_input_products(traj: Trajectory, u, ts, tau: float,
     R_u(T,t) is the costate Lam(t) of dLam/dt = -Lam J_cl(t), Lam(T) = I,
     so one dense backward solve serves every sample; the push from the
     horizon to the anchor is one drift-variational solve of the identity.
-    Returns shape (len(ts), d, k).
+    The samples are read from the costate and the trajectory and multiplied
+    one chunk at a time, sized as in `flow_input_products`.  Returns shape
+    (len(ts), d, k).
     """
     sys_ = traj.system
-    d, T = sys_.d, traj.T
+    d, k, T = sys_.d, sys_.k, traj.T
     costate_config = replace(config, rtol=config.rtol * _COSTATE_TOL_FACTOR,
                              atol=config.atol * _COSTATE_TOL_FACTOR)
     rhs = partial(_costate_rhs, traj=traj, u=u, d=d)
@@ -171,13 +182,16 @@ def chain_input_products(traj: Trajectory, u, ts, tau: float,
     push = None if tau == T else _drift_variational(
         sys_, np.array([T]), tau, traj.endpoint[None], np.eye(d)[None],
         config)[0]
-    mats = []
-    for t in ts:
-        t = float(t)
-        R = costate.eval(t).reshape(d, d)
-        prod = R @ sys_.input_matrix(t, traj.state(t))
-        mats.append(prod if push is None else push @ prod)
-    return np.stack(mats)
+    ts = np.asarray(ts, dtype=float).ravel()
+    out = np.empty((ts.size, d, k))
+    for part in _chunks(ts, d, k):
+        t = ts[part]
+        block = _input_matrices(sys_, t, traj.solution.eval_many(t),
+                                out[part])
+        block[...] = costate.eval_many(t).reshape(-1, d, d) @ block
+        if push is not None:
+            block[...] = push @ block
+    return out
 
 
 def flow_conjugate_profile(problem: SteeringProblem, traj: Trajectory,

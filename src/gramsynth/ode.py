@@ -10,11 +10,17 @@ A 2-D initial state (B, n) is a batch of B independent rows stepped in
 lockstep: the rows share one step sequence, and a step is accepted on the
 largest of the rows' error norms, so every row meets rtol/atol as it
 would solved alone (Hairer, Norsett & Wanner, "Solving ODEs I", II.4).
+
+The degree-7 interpolant of a step is a fixed weighted sum of its seven
+coefficient rows (ibid., II.6).  `DenseSolution.eval_many` evaluates it
+for a whole sample grid in one vectorized pass; `DenseSolution.eval` is
+the lean scalar path that right-hand sides call, with the same weights.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -138,8 +144,9 @@ class DenseSolution:
 
     Knots ``ts`` are stored in integration order (descending for backward
     solves); ``ys[j]`` has the shape of the initial state.  Evaluation at a
-    knot returns the solver's discrete state there exactly; between knots
-    the degree-7 per-step interpolant is used.
+    knot returns a copy of the solver's discrete state there exactly;
+    between knots, step j's degree-7 interpolant is
+    ``ys[j] + sum_i w_i(x) segments[j, i]`` with the weights of `_weights`.
     """
 
     ts: np.ndarray
@@ -148,11 +155,17 @@ class DenseSolution:
     n_accepted: int
     n_rejected: int
     _ts_asc: np.ndarray = field(init=False, repr=False)
+    _knots: list = field(init=False, repr=False)
     _ascending: bool = field(init=False, repr=False)
+    _bounds: Tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
         self._ascending = bool(self.ts[-1] >= self.ts[0])
         self._ts_asc = self.ts if self._ascending else self.ts[::-1]
+        self._knots = self._ts_asc.tolist()
+        lo, hi = self._knots[0], self._knots[-1]
+        slack = 1e-12 * (hi - lo) + 4e-16 * max(abs(lo), abs(hi), 1.0)
+        self._bounds = (lo - slack, hi + slack)
 
     @property
     def t_span(self) -> Tuple[float, float]:
@@ -162,50 +175,63 @@ class DenseSolution:
     def step_count(self) -> int:
         return len(self.ts) - 1
 
-    def _locate(self, t: float) -> int:
-        """Index into ``self.ts`` of the segment containing t (ascending)."""
-        lo, hi = float(self._ts_asc[0]), float(self._ts_asc[-1])
-        slack = 1e-12 * (hi - lo) + 4e-16 * max(abs(lo), abs(hi), 1.0)
-        if t < lo - slack or t > hi + slack:
-            raise OutOfSpan(f"t={t} outside span [{lo}, {hi}]")
-        t = min(max(t, lo), hi)
-        j = int(np.searchsorted(self._ts_asc, t, side="right")) - 1
-        j = min(max(j, 0), len(self._ts_asc) - 2)
-        if not self._ascending:
-            j = len(self.ts) - 2 - j
-        return j
-
-    def eval(self, t: float) -> np.ndarray:
-        """State at time t (closed span)."""
+    def _check(self, t_min, t_max):
         if self.segments is None:
             raise OutOfSpan("solution was integrated without dense output")
-        j = self._locate(t)
-        if t == self.ts[j]:
-            return self.ys[j].copy()
-        if t == self.ts[j + 1]:
-            return self.ys[j + 1].copy()
-        x = (t - self.ts[j]) / (self.ts[j + 1] - self.ts[j])
-        return _interp_dop853(self.segments[j], self.ys[j], x)
+        lo, hi = self._bounds
+        if not (t_min >= lo and t_max <= hi):
+            raise OutOfSpan(f"t in [{t_min}, {t_max}] outside span "
+                            f"[{self._knots[0]}, {self._knots[-1]}]")
 
-    def eval_many(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized `eval`; returns an array of shape (len(ts), *state)."""
-        ts = np.asarray(ts, dtype=float)
-        out = np.empty((ts.size,) + self.ys.shape[1:])
-        for i, t in enumerate(ts.ravel()):
-            out[i] = self.eval(float(t))
-        return out
+    def eval(self, t: float) -> np.ndarray:
+        """State at time t (closed span, up to a rounding slack)."""
+        self._check(t, t)
+        knots = self._knots
+        last = len(knots) - 2
+        i = min(max(bisect_right(knots, t) - 1, 0), last)
+        ta, tb = knots[i], knots[i + 1]
+        j = i
+        if not self._ascending:
+            j, ta, tb = last - i, tb, ta
+        if t == ta:
+            return self.ys[j].copy()
+        if t == tb:
+            return self.ys[j + 1].copy()
+        F = self.segments[j]
+        w = np.array(_weights((t - ta) / (tb - ta)))
+        return self.ys[j] + (w @ F.reshape(len(w), -1)).reshape(F.shape[1:])
+
+    def eval_many(self, ts) -> np.ndarray:
+        """`eval` at every element of ts in one pass; (ts.size, *state)."""
+        t = np.asarray(ts, dtype=float).ravel()
+        self._check(t.min(initial=np.inf), t.max(initial=-np.inf))
+        last = len(self.ts) - 2
+        j = np.clip(np.searchsorted(self._ts_asc, t, side="right") - 1,
+                    0, last)
+        if not self._ascending:
+            j = last - j
+        ta, tb = self.ts[j], self.ts[j + 1]
+        w = np.stack(_weights((t - ta) / (tb - ta)), axis=1)[:, None, :]
+        ys = self.ys.reshape(len(self.ys), -1)
+        F = self.segments[j].reshape(t.size, w.shape[-1], ys.shape[1])
+        out = ys[j] + (w @ F)[:, 0]
+        for hit, knot in ((t == ta, j), (t == tb, j + 1)):
+            out[hit] = ys[knot[hit]]
+        return out.reshape((t.size,) + self.ys.shape[1:])
 
     def __call__(self, t):
         return self.eval(t)
 
 
-def _interp_dop853(F, y_old, x):
-    # Alternating-Horner form of the degree-7 interpolant.
-    y = np.zeros_like(y_old)
-    for i in range(6, -1, -1):
-        y += F[i]
-        y *= x if (6 - i) % 2 == 0 else (1.0 - x)
-    return y + y_old
+def _weights(x):
+    """Weights x, x(1-x), x^2(1-x), ..., x^4(1-x)^3 of a step's 7 rows.
+
+    x is the fraction of the step, a float or an array (same arithmetic).
+    """
+    w = [x]
+    for f in (1.0 - x, x) * 3:
+        w.append(w[-1] * f)
+    return w
 
 
 def integrate(problem: OdeProblem, config: SolverConfig = SolverConfig(),

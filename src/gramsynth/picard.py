@@ -119,23 +119,32 @@ def _finish_control(tau, kind, rule, samples, solve_info):
         solve_info=solve_info)
 
 
+def _apply_map(kind, problem, u, config, y, on_deficient):
+    """One application of map ``kind`` to u, with the residual y given."""
+    d = problem.system.d
+    tau = problem.anchor_time
+    traj = solve_trajectory(problem, u, config.solver)
+    rule = simpson_rule(problem.t0, problem.T, config.resolved_points(d))
+    D = flow_input_products(traj, rule.nodes, tau, config.solver)
+    if kind == "general":
+        rows = D
+        gram = assemble_symmetric_from_samples(D, rule)
+    else:
+        rows = chain_input_products(traj, u, rule.nodes, tau, config.solver)
+        gram = assemble_mixed_from_samples(D, rows, rule)
+    sol = solve_gramian(gram, y, reg=config.resolved_regularization(d),
+                        on_deficient=on_deficient)
+    return _finish_control(tau, kind, rule, rows, sol), traj, gram
+
+
 def apply_general_map(problem, u: ControlFunction,
                       config: SynthesisConfig = SynthesisConfig(),
                       on_deficient: str = "raise"
                       ) -> Tuple[ControlFunction, Trajectory, GramianMatrix]:
     """One application of the symmetric-Gramian steering map."""
     problem = _resolve_problem(problem, config)
-    d = problem.system.d
-    tau = problem.anchor_time
-    traj = solve_trajectory(problem, u, config.solver)
-    rule = simpson_rule(problem.t0, problem.T, config.resolved_points(d))
-    D = flow_input_products(traj, rule.nodes, tau, config.solver)
-    gram = assemble_symmetric_from_samples(D, rule)
-    y = residual(problem, config.solver)
-    sol = solve_gramian(gram, y, reg=config.resolved_regularization(d),
-                        on_deficient=on_deficient)
-    u_next = _finish_control(tau, "general", rule, D, sol)
-    return u_next, traj, gram
+    return _apply_map("general", problem, u, config,
+                      residual(problem, config.solver), on_deficient)
 
 
 def apply_minimum_energy_map(problem, u: ControlFunction,
@@ -144,18 +153,8 @@ def apply_minimum_energy_map(problem, u: ControlFunction,
                              ) -> Tuple[ControlFunction, Trajectory, GramianMatrix]:
     """One application of the Lagrange-multiplier (mixed-Gramian) map."""
     problem = _resolve_problem(problem, config)
-    d = problem.system.d
-    tau = problem.anchor_time
-    traj = solve_trajectory(problem, u, config.solver)
-    rule = simpson_rule(problem.t0, problem.T, config.resolved_points(d))
-    D = flow_input_products(traj, rule.nodes, tau, config.solver)
-    C = chain_input_products(traj, u, rule.nodes, tau, config.solver)
-    gram = assemble_mixed_from_samples(D, C, rule)
-    y = residual(problem, config.solver)
-    sol = solve_gramian(gram, y, reg=config.resolved_regularization(d),
-                        on_deficient=on_deficient)
-    u_next = _finish_control(tau, "minimum_energy", rule, C, sol)
-    return u_next, traj, gram
+    return _apply_map("minimum_energy", problem, u, config,
+                      residual(problem, config.solver), on_deficient)
 
 
 def endpoint_error(traj: Trajectory, x1: np.ndarray) -> float:
@@ -208,8 +207,8 @@ def run_picard(problem, config: SynthesisConfig = SynthesisConfig(),
     increases totalling x10) raises `PicardDiverged`.
     """
     problem = _resolve_problem(problem, config)
-    apply_map = (apply_general_map if config.map_kind == "general"
-                 else apply_minimum_energy_map)
+    # the drift flow of x0 or x1 does not depend on u: solved once per run
+    y = residual(problem, config.solver)
     u: ControlFunction = u0 if u0 is not None else ZeroControl(
         problem.system.k, (problem.t0, problem.T))
 
@@ -219,8 +218,9 @@ def run_picard(problem, config: SynthesisConfig = SynthesisConfig(),
 
     for n in range(config.n_max):
         tic = time.perf_counter()
-        u_next, traj, _ = apply_map(
-            problem, u, config, on_deficient="allow" if n == 0 else "raise")
+        u_next, traj, _ = _apply_map(
+            config.map_kind, problem, u, config, y,
+            "allow" if n == 0 else "raise")
         err_end = endpoint_error(traj, problem.x1)
         err_fp = fixed_point_error(u_next, u, config.fp_grid_points)
         energy = control_energy(u, problem.t0, problem.T,

@@ -264,6 +264,7 @@ def _spacecraft_cl_jac(t, x, u):
 
 _HOP_DECAY = np.array([0.5, 0.3])
 _HOP_W = np.array([[0.5, -1.5], [1.5, -0.5]])
+_HOP_DECAY_JAC = -np.diag(_HOP_DECAY)
 
 
 def _hopfield_drift(t, x):
@@ -272,7 +273,7 @@ def _hopfield_drift(t, x):
 
 def _hopfield_jac(t, x):
     s = 1.0 - np.tanh(x) ** 2
-    return -np.diag(_HOP_DECAY) + _HOP_W * s[..., None, :]
+    return _HOP_DECAY_JAC + _HOP_W * s[..., None, :]
 
 
 def _hopfield_cl_jac(t, x, u):

@@ -222,6 +222,27 @@ def test_chain_products_match_per_sample_reference(name, tight_solver):
                 1.0, np.max(np.abs(ref)))
 
 
+@pytest.mark.parametrize("name,params", [("hopfield2d_full", {}),
+                                         ("mindy_like", {"d": 8, "k": 4})])
+def test_chain_products_independent_of_chunking(name, params, tight_solver,
+                                                monkeypatch):
+    system, problem = make_benchmark(name, params)
+    u = ClosedFormControl(lambda t: np.full(system.k, np.sin(3.0 * t)),
+                          k=system.k, span=(problem.t0, problem.T))
+    traj = solve_trajectory(problem, u, tight_solver)
+    ts = np.linspace(problem.t0, problem.T, 21)
+    row = system.d + system.d * system.k
+    for tau in (problem.t0, problem.T):
+        runs = []
+        # chunks of 1 node, 3 nodes and the whole grid
+        for nodes in (1, 3, ts.size):
+            monkeypatch.setattr(flow, "_BATCH_ELEMENTS", nodes * row)
+            runs.append(chain_input_products(traj, u, ts, tau, tight_solver))
+        whole = runs[-1]
+        for C in runs[:-1]:
+            assert np.max(np.abs(C - whole)) <= 1e-15 * np.max(np.abs(whole))
+
+
 def _reference_flow_product(system, x_t, t, tau):
     """Per-sample flow-input product from scipy alone."""
     d, k = system.d, system.k

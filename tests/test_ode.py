@@ -156,6 +156,94 @@ def test_batch_of_one_row_equals_single_state():
     assert row.eval_many([0.5, 2.5]).shape == (2, 1, 2)
 
 
+# Dense-output cases with closed forms: y(t) for each solution's state.
+_OMEGA = np.array([1.0, 2.0, 0.5])
+
+
+def _dense_case(kind):
+    cfg = SolverConfig(rtol=1e-10, atol=1e-12)
+    if kind == "forward":
+        def exact(t):
+            return np.array([math.exp(t)])
+        problem = OdeProblem(expo, 0.0, 1.0, exact(0.0))
+    elif kind == "backward":
+        def exact(t):
+            return np.array([math.cos(t), -math.sin(t)])
+        problem = OdeProblem(harmonic, 3.0, 0.0, exact(3.0))
+    else:  # a (3, 2) batch of oscillators x'' = -omega^2 x
+        def exact(t):
+            return np.stack([np.cos(_OMEGA * t),
+                             -_OMEGA * np.sin(_OMEGA * t)], axis=1)
+        problem = OdeProblem(_oscillators(_OMEGA), 0.0, 3.0, exact(0.0))
+    return integrate(problem, cfg), exact, cfg
+
+
+DENSE_KINDS = ["forward", "backward", "batch"]
+
+
+@pytest.mark.parametrize("kind", DENSE_KINDS)
+def test_eval_many_equals_stacked_eval(kind):
+    sol, _, _ = _dense_case(kind)
+    lo, hi = sorted(sol.t_span)
+    ts = np.concatenate([np.linspace(lo, hi, 301), sol.ts[::3]])
+    many = sol.eval_many(ts)
+    assert many.shape == (ts.size,) + sol.ys.shape[1:]
+    stacked = np.stack([sol.eval(float(t)) for t in ts])
+    assert np.max(np.abs(many - stacked)) <= 1e-15 * np.max(np.abs(sol.ys))
+
+
+@pytest.mark.parametrize("kind", DENSE_KINDS)
+def test_knots_return_discrete_state_copies(kind):
+    sol, _, _ = _dense_case(kind)
+    ys = sol.ys.copy()
+    many = sol.eval_many(sol.ts)
+    assert np.array_equal(many, ys)
+    many += 1.0
+    for j, t in enumerate(sol.ts):
+        y = sol.eval(float(t))
+        assert np.array_equal(y, ys[j])
+        y += 1.0
+    assert np.array_equal(sol.ys, ys)
+
+
+@pytest.mark.parametrize("kind", DENSE_KINDS)
+def test_span_slack_accepted_and_out_of_span_raises(kind):
+    sol, _, _ = _dense_case(kind)
+    lo, hi = sorted(sol.t_span)
+    slack = 1e-13 * (hi - lo)
+    edges = np.array([lo - slack, hi + slack])
+    near = sol.eval_many(edges)
+    ends = sol.ys[[0, -1]] if sol.ts[0] == lo else sol.ys[[-1, 0]]
+    assert np.max(np.abs(near - ends)) <= 1e-12 * np.max(np.abs(sol.ys))
+    assert np.array_equal(near[1], sol.eval(hi + slack))
+    mid = 0.5 * (lo + hi)
+    for bad in (hi + 1e-6 * (hi - lo), lo - 1e-6 * (hi - lo)):
+        with pytest.raises(OutOfSpan):
+            sol.eval_many([lo, mid, bad, hi])
+        with pytest.raises(OutOfSpan):
+            sol.eval(bad)
+
+
+@pytest.mark.parametrize("kind", DENSE_KINDS)
+def test_step_midpoints_match_closed_form(kind):
+    # the interpolant is least accurate mid-step; same bound as
+    # test_dense_output_accuracy
+    sol, exact, cfg = _dense_case(kind)
+    mids = 0.5 * (sol.ts[1:] + sol.ts[:-1])
+    ref = np.stack([exact(t) for t in mids])
+    assert np.max(np.abs(sol.eval_many(mids) - ref)) <= 100 * cfg.rtol
+    assert np.max(np.abs(sol.eval(mids[len(mids) // 2])
+                         - ref[len(mids) // 2])) <= 100 * cfg.rtol
+
+
+def test_no_dense_output_raises():
+    sol = integrate(OdeProblem(expo, 0.0, 1.0, np.array([1.0])), dense=False)
+    with pytest.raises(OutOfSpan):
+        sol.eval(0.5)
+    with pytest.raises(OutOfSpan):
+        sol.eval_many([0.5])
+
+
 def test_step_counters_and_initial_step():
     cfg = SolverConfig(rtol=1e-8, atol=1e-10, initial_step=0.05)
     sol = integrate(OdeProblem(harmonic, 0.0, 1.0, np.array([1.0, 0.0])), cfg)
