@@ -23,13 +23,10 @@ from .controls import SynthesizedControl
 from .errors import ConfigError, GramsynthError
 from .flow import residual, solve_trajectory
 from .ode import SolverConfig
-from .picard import (IterationRecord, SynthesisConfig, control_energy,
-                     run_picard)
+from .picard import RunStatus, SynthesisConfig, control_energy, run_picard
 from .systems import SteeringProblem, make_benchmark, mindy_like
 
 SCHEMA = "v1"
-TELEMETRY_COLUMNS = ("n", "err_end", "err_fp", "energy", "energy_sq_norm",
-                     "gramian_condition", "wall_time")
 
 
 @dataclass
@@ -131,17 +128,7 @@ class RunArtifact:
         return bool(self.status.get("success", False))
 
     def to_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "command": self.command,
-            "config": self.config,
-            "status": self.status,
-            "telemetry": self.telemetry,
-            "summary": self.summary,
-            "control_samples": self.control_samples,
-            "trajectory_samples": self.trajectory_samples,
-            "extra_tables": self.extra_tables,
-        }
+        return asdict(self)
 
     def save(self, out_dir: Optional[str] = None) -> str:
         out = out_dir or self.config.get("out_dir", "runs/out")
@@ -150,120 +137,115 @@ class RunArtifact:
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh, indent=1)
         if self.config.get("export", {}).get("format", "csv") == "csv":
+            tables = dict(self.extra_tables)
             if self.telemetry:
-                _write_csv(os.path.join(out, "telemetry.csv"),
-                           TELEMETRY_COLUMNS,
-                           [[row[c] for c in TELEMETRY_COLUMNS]
-                            for row in self.telemetry])
-            if self.control_samples:
-                k = len(self.control_samples["u"][0])
-                _write_csv(os.path.join(out, "control.csv"),
-                           ["t"] + [f"u{i + 1}" for i in range(k)],
-                           [[t] + list(u) for t, u in
-                            zip(self.control_samples["t"],
-                                self.control_samples["u"])])
-            if self.trajectory_samples:
-                d = len(self.trajectory_samples["x"][0])
-                _write_csv(os.path.join(out, "trajectory.csv"),
-                           ["t"] + [f"x{i + 1}" for i in range(d)],
-                           [[t] + list(x) for t, x in
-                            zip(self.trajectory_samples["t"],
-                                self.trajectory_samples["x"])])
-            for name, table in self.extra_tables.items():
-                _write_csv(os.path.join(out, f"{name}.csv"),
-                           table["columns"], table["rows"])
+                tables["telemetry"] = _table(self.telemetry)
+            for name, key, samples in (
+                    ("control", "u", self.control_samples),
+                    ("trajectory", "x", self.trajectory_samples)):
+                if samples:
+                    tables[name] = _sample_table(samples["t"], samples[key],
+                                                 key)
+            for name, table in tables.items():
+                _write_csv(os.path.join(out, f"{name}.csv"), table)
         return path
 
     @classmethod
     def load(cls, path: str) -> "RunArtifact":
         with open(path) as fh:
-            data = json.load(fh)
-        return cls(command=data["command"], config=data["config"],
-                   status=data["status"], telemetry=data["telemetry"],
-                   summary=data["summary"],
-                   control_samples=data.get("control_samples", {}),
-                   trajectory_samples=data.get("trajectory_samples", {}),
-                   extra_tables=data.get("extra_tables", {}),
-                   schema=data["schema"])
+            return cls(**json.load(fh))
 
 
 def _fmt(v):
     return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
 
 
-def _write_csv(path, columns, rows):
+def _write_csv(path, table):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(columns)
-        for row in rows:
+        w.writerow(table["columns"])
+        for row in table["rows"]:
             w.writerow([_fmt(v) for v in row])
 
 
-def _records_to_rows(records: List[IterationRecord]) -> List[dict]:
-    return [{"n": r.n, "err_end": r.err_end, "err_fp": r.err_fp,
-             "energy": r.energy, "energy_sq_norm": r.energy_sq_norm,
-             "gramian_condition": r.gramian_condition,
-             "wall_time": r.wall_time} for r in records]
+def _table(records: List[dict]) -> dict:
+    """A table of dict records that share their keys, in key order."""
+    return {"columns": list(records[0]),
+            "rows": [list(r.values()) for r in records]}
 
 
-def _sample_control(u, t0, T, n):
-    ts = np.linspace(t0, T, n)
-    return {"t": ts.tolist(), "u": _jsonable(u.eval_many(ts))}
+def _sample_table(ts, values, key: str) -> dict:
+    """A table with columns t, key1, key2, ... of sampled vectors."""
+    return {"columns": ["t"] + [f"{key}{i + 1}" for i in range(len(values[0]))],
+            "rows": [[t] + list(v) for t, v in zip(ts, values)]}
 
 
-def _sample_trajectory(traj, n):
-    ts = np.linspace(traj.t0, traj.T, n)
-    return {"t": ts.tolist(), "x": _jsonable(traj.solution.eval_many(ts))}
+def _status(status: RunStatus, success: Optional[bool] = None) -> dict:
+    """``status`` as a dict; ``success`` overrides its own verdict."""
+    return dict(asdict(status),
+                success=status.success if success is None else success)
 
 
-def _status_dict(status=None, error: Optional[Exception] = None) -> dict:
-    if error is not None:
-        return {"criterion": "error", "iterations": 0,
-                "initial_gramian_ok": False, "success": False,
-                "message": f"{type(error).__name__}: {error}"}
-    return {"criterion": status.criterion, "iterations": status.iterations,
-            "initial_gramian_ok": status.initial_gramian_ok,
-            "success": status.success, "message": status.message}
+def _failed(command: str, cfg: ExperimentConfig,
+            exc: Exception) -> RunArtifact:
+    """The artifact of a run that raised ``exc``."""
+    return RunArtifact(
+        command=command, config=cfg.echo(),
+        status=_status(RunStatus("error", 0, False,
+                                 f"{type(exc).__name__}: {exc}")),
+        telemetry=[], summary={})
+
+
+def _energy_fields(energy: float) -> dict:
+    """E(u) with the squared L2 norm 2E and the L2 norm of the control."""
+    return {"energy": energy, "energy_sq_norm": 2.0 * energy,
+            "control_l2_norm": float(np.sqrt(2.0 * energy))}
+
+
+def _samples(ts, values, key: str) -> dict:
+    return {"t": ts.tolist(), key: _jsonable(values)}
+
+
+def _steer(cfg: ExperimentConfig, problem: SteeringProblem, u):
+    """Simulate u from x0: the endpoint, its distance err_end to x1, and
+    the control and trajectory samples of the artifact."""
+    traj = solve_trajectory(problem, u, cfg.synthesis.solver)
+    ts = np.linspace(problem.t0, problem.T, cfg.export_samples)
+    samples = {"control_samples": _samples(ts, u.eval_many(ts), "u"),
+               "trajectory_samples": _samples(
+                   ts, traj.solution.eval_many(ts), "x")}
+    return (traj.endpoint, float(np.linalg.norm(traj.endpoint - problem.x1)),
+            samples)
 
 
 def run_synthesize(cfg: ExperimentConfig) -> RunArtifact:
     """One Picard synthesis run with full telemetry and sample exports."""
     system, problem = make_benchmark(cfg.system_name, cfg.system_params)
+    # the problem run_picard solves: the certificate needs its residual
+    problem = replace(problem, anchor=cfg.synthesis.anchor or problem.anchor)
     try:
         u, records, status = run_picard(problem, cfg.synthesis)
     except GramsynthError as exc:
-        return RunArtifact(command="synthesize", config=cfg.echo(),
-                           status=_status_dict(error=exc), telemetry=[],
-                           summary={})
-    traj = solve_trajectory(problem, u, cfg.synthesis.solver)
-    err_end = float(np.linalg.norm(traj.endpoint - problem.x1))
-    energy = control_energy(u, problem.t0, problem.T,
-                            cfg.synthesis.energy_points)
+        return _failed("synthesize", cfg, exc)
+    _, err_end, samples = _steer(cfg, problem, u)
+    energy = control_energy(u, problem.t0, problem.T)
     summary = {
         "system": system.name, "d": system.d, "k": system.k,
-        "map_kind": cfg.synthesis.map_kind,
-        "anchor": problem.anchor if cfg.synthesis.anchor is None
-        else cfg.synthesis.anchor,
-        "iterations": status.iterations,
-        "err_end": err_end,
-        "energy": energy,
-        "energy_sq_norm": 2.0 * energy,
-        "control_l2_norm": float(np.sqrt(2.0 * energy)),
+        "map_kind": cfg.synthesis.map_kind, "anchor": problem.anchor,
+        "iterations": status.iterations, "err_end": err_end,
+        **_energy_fields(energy),
         "wall_time_total": float(sum(r.wall_time for r in records)),
     }
     if isinstance(u, SynthesizedControl) and cfg.synthesis.map_kind == "general":
-        y = residual(problem, cfg.synthesis.solver)
-        cert = 0.5 * float(y @ u.lam)
+        # 1/2 y.lam equals E(u) at a fixed point of the symmetric map
+        cert = 0.5 * float(residual(problem, cfg.synthesis.solver) @ u.lam)
         summary["energy_certificate"] = cert
         summary["certificate_rel_gap"] = (abs(cert - energy) / energy
                                           if energy > 0 else 0.0)
     return RunArtifact(
         command="synthesize", config=cfg.echo(),
-        status=_status_dict(status), telemetry=_records_to_rows(records),
-        summary=summary,
-        control_samples=_sample_control(u, problem.t0, problem.T,
-                                        cfg.export_samples),
-        trajectory_samples=_sample_trajectory(traj, cfg.export_samples))
+        status=_status(status),
+        telemetry=[asdict(r) for r in records], summary=summary, **samples)
 
 
 def run_baseline(cfg: ExperimentConfig) -> RunArtifact:
@@ -272,25 +254,16 @@ def run_baseline(cfg: ExperimentConfig) -> RunArtifact:
     try:
         u, energy = feedback_linearization_baseline(problem)
     except GramsynthError as exc:
-        return RunArtifact(command="baseline", config=cfg.echo(),
-                           status=_status_dict(error=exc), telemetry=[],
-                           summary={})
-    traj = solve_trajectory(problem, u, cfg.synthesis.solver)
-    err_end = float(np.linalg.norm(traj.endpoint - problem.x1))
-    ok = err_end <= 1e-6
-    status = {"criterion": "baseline", "iterations": 0,
-              "initial_gramian_ok": True, "success": ok,
-              "message": f"err_end={err_end:.3e}"}
-    summary = {"system": system.name, "d": system.d, "k": system.k,
-               "err_end": err_end, "energy": energy,
-               "energy_sq_norm": 2.0 * energy,
-               "control_l2_norm": float(np.sqrt(2.0 * energy))}
+        return _failed("baseline", cfg, exc)
+    _, err_end, samples = _steer(cfg, problem, u)
     return RunArtifact(
-        command="baseline", config=cfg.echo(), status=status, telemetry=[],
-        summary=summary,
-        control_samples=_sample_control(u, problem.t0, problem.T,
-                                        cfg.export_samples),
-        trajectory_samples=_sample_trajectory(traj, cfg.export_samples))
+        command="baseline", config=cfg.echo(),
+        status=_status(RunStatus("baseline", 0, True, f"err_end={err_end:.3e}"),
+                       err_end <= 1e-6),
+        telemetry=[],
+        summary={"system": system.name, "d": system.d, "k": system.k,
+                 "err_end": err_end, **_energy_fields(energy)},
+        **samples)
 
 
 def run_reference(cfg: ExperimentConfig) -> RunArtifact:
@@ -299,28 +272,22 @@ def run_reference(cfg: ExperimentConfig) -> RunArtifact:
     system, problem = make_benchmark(cfg.system_name, cfg.system_params)
     degree = int(section.get("degree", 5))
     sigma = float(section.get("sigma", 0.2))
-    simulate = bool(section.get("simulate", True))
     u = chebyshev_reference_control(system.k, (problem.t0, problem.T),
                                     seed=cfg.seed, degree=degree, sigma=sigma)
-    energy = control_energy(u, problem.t0, problem.T)
     summary = {"system": system.name, "k": system.k, "degree": degree,
                "sigma": sigma, "seed": cfg.seed,
                "coefficients": _jsonable(u.coefficients),
-               "energy": energy, "energy_sq_norm": 2.0 * energy,
-               "control_l2_norm": float(np.sqrt(2.0 * energy))}
-    traj_samples = {}
-    if simulate:
-        traj = solve_trajectory(problem, u, cfg.synthesis.solver)
-        summary["endpoint"] = _jsonable(traj.endpoint)
-        traj_samples = _sample_trajectory(traj, cfg.export_samples)
-    status = {"criterion": "reference", "iterations": 0,
-              "initial_gramian_ok": True, "success": True, "message": ""}
-    return RunArtifact(
-        command="reference", config=cfg.echo(), status=status, telemetry=[],
-        summary=summary,
-        control_samples=_sample_control(u, problem.t0, problem.T,
-                                        cfg.export_samples),
-        trajectory_samples=traj_samples)
+               **_energy_fields(control_energy(u, problem.t0, problem.T))}
+    if section.get("simulate", True):
+        endpoint, _, samples = _steer(cfg, problem, u)
+        summary["endpoint"] = _jsonable(endpoint)
+    else:
+        ts = np.linspace(problem.t0, problem.T, cfg.export_samples)
+        samples = {"control_samples": _samples(ts, u.eval_many(ts), "u")}
+    return RunArtifact(command="reference", config=cfg.echo(),
+                       status=_status(RunStatus("reference", 0, True), True),
+                       telemetry=[],
+                       summary=summary, **samples)
 
 
 def _derived_seeds(root: int, *tags: int, n: int = 2):
@@ -356,54 +323,45 @@ def run_scale(cfg: ExperimentConfig) -> RunArtifact:
             x1 = np.random.default_rng(target_seed).uniform(0.0, target_upper,
                                                             size=d)
             problem = SteeringProblem(system, np.zeros(d), x1, t0, T)
+            row = {"d": d, "trial": trial, "sys_seed": sys_seed,
+                   "target_seed": target_seed}
             tic = time.perf_counter()
             try:
                 _, records, status = run_picard(problem, syn)
-                wall = time.perf_counter() - tic
-                rows.append({
-                    "d": d, "trial": trial, "sys_seed": sys_seed,
-                    "target_seed": target_seed,
-                    "status": status.criterion,
-                    "iterations": status.iterations,
-                    "err_end": records[-1].err_end,
-                    "wall_time_total": wall,
-                    "time_per_iteration": wall / status.iterations})
+                row.update(status=status.criterion,
+                           iterations=status.iterations,
+                           err_end=records[-1].err_end)
             except GramsynthError as exc:
-                rows.append({
-                    "d": d, "trial": trial, "sys_seed": sys_seed,
-                    "target_seed": target_seed,
-                    "status": f"error:{type(exc).__name__}",
-                    "iterations": 0, "err_end": float("nan"),
-                    "wall_time_total": time.perf_counter() - tic,
-                    "time_per_iteration": float("nan")})
+                row.update(status=f"error:{type(exc).__name__}",
+                           iterations=0, err_end=float("nan"))
+            wall = time.perf_counter() - tic
+            row.update(wall_time_total=wall, time_per_iteration=(
+                wall / row["iterations"] if row["iterations"] else float("nan")))
+            rows.append(row)
 
     aggregates = []
     for d in dims:
         sub = [r for r in rows if r["d"] == d and r["iterations"] > 0]
-        times = np.array([r["time_per_iteration"] for r in sub])
-        errs = np.array([r["err_end"] for r in sub])
+        # an empty dimension reads nan throughout
+        times = np.array([r["time_per_iteration"] for r in sub] or [np.nan])
+        errs = np.array([r["err_end"] for r in sub] or [np.nan])
         aggregates.append({
             "d": d, "trials_ok": len(sub),
-            "time_per_iteration_mean": float(times.mean()) if len(sub) else float("nan"),
-            "time_per_iteration_std": float(times.std()) if len(sub) else float("nan"),
-            "err_end_max": float(errs.max()) if len(sub) else float("nan")})
+            "time_per_iteration_mean": float(times.mean()),
+            "time_per_iteration_std": float(times.std()),
+            "err_end_max": float(errs.max())})
 
-    ok = all(r["iterations"] > 0 for r in rows)
-    status = {"criterion": "scale", "iterations": len(rows),
-              "initial_gramian_ok": True, "success": ok,
-              "message": f"{sum(r['iterations'] > 0 for r in rows)}/{len(rows)} trials ok"}
-    columns = list(rows[0].keys())
-    agg_columns = list(aggregates[0].keys())
+    n_ok = sum(r["iterations"] > 0 for r in rows)
     return RunArtifact(
-        command="scale", config=cfg.echo(), status=status, telemetry=[],
+        command="scale", config=cfg.echo(),
+        status=_status(RunStatus("scale", len(rows), True,
+                                 f"{n_ok}/{len(rows)} trials ok"),
+                       n_ok == len(rows)),
+        telemetry=[],
         summary={"dims": dims, "trials": trials, "horizon": [t0, T],
                  "target_upper": target_upper, "aggregates": aggregates},
-        extra_tables={
-            "scale": {"columns": columns,
-                      "rows": [[r[c] for c in columns] for r in rows]},
-            "scale_aggregates": {"columns": agg_columns,
-                                 "rows": [[a[c] for c in agg_columns]
-                                          for a in aggregates]}})
+        extra_tables={"scale": _table(rows),
+                      "scale_aggregates": _table(aggregates)})
 
 
 def run_underactuated(cfg: ExperimentConfig) -> RunArtifact:
@@ -428,8 +386,7 @@ def run_underactuated(cfg: ExperimentConfig) -> RunArtifact:
     u_ref = chebyshev_reference_control(k, (t0, T), seed=ref_seed,
                                         degree=degree, sigma=sigma)
     probe = SteeringProblem(system, x0, np.zeros(d), t0, T)
-    ref_traj = solve_trajectory(probe, u_ref, cfg.synthesis.solver)
-    x1 = ref_traj.endpoint
+    x1 = solve_trajectory(probe, u_ref, cfg.synthesis.solver).endpoint
     problem = SteeringProblem(system, x0, x1, t0, T)
 
     syn = replace(cfg.synthesis, map_kind="minimum_energy",
@@ -437,9 +394,7 @@ def run_underactuated(cfg: ExperimentConfig) -> RunArtifact:
     try:
         u, records, status = run_picard(problem, syn)
     except GramsynthError as exc:
-        return RunArtifact(command="underactuated", config=cfg.echo(),
-                           status=_status_dict(error=exc), telemetry=[],
-                           summary={})
+        return _failed("underactuated", cfg, exc)
 
     E_synth = control_energy(u, t0, T)
     E_ref = control_energy(u_ref, t0, T)
@@ -447,29 +402,23 @@ def run_underactuated(cfg: ExperimentConfig) -> RunArtifact:
     monotone_ok = all(errs[i + 1] <= 2.0 * errs[i]
                       for i in range(len(errs) - 1)) and errs[-1] < errs[0]
     reduced = E_synth < E_ref
-    st = _status_dict(status)
-    st["success"] = bool(st["success"] and reduced)
 
-    traj = solve_trajectory(problem, u, cfg.synthesis.solver)
+    _, err_end, samples = _steer(cfg, problem, u)
     ts = np.linspace(t0, T, cfg.export_samples)
     summary = {
         "system": system.name, "d": d, "k": k, "horizon": [t0, T],
         "seeds": {"system": sys_seed, "x0": x0_seed, "reference": ref_seed},
-        "iterations": status.iterations,
-        "err_end": float(np.linalg.norm(traj.endpoint - x1)),
-        "energy_synthesized": E_synth,
-        "energy_reference": E_ref,
+        "iterations": status.iterations, "err_end": err_end,
+        "energy_synthesized": E_synth, "energy_reference": E_ref,
         "l2_norm_synthesized": float(np.sqrt(2 * E_synth)),
         "l2_norm_reference": float(np.sqrt(2 * E_ref)),
         "energy_reduced": bool(reduced),
         "monotone_decay": bool(monotone_ok),
     }
-    ref_samples = u_ref.eval_many(ts)
     return RunArtifact(
-        command="underactuated", config=cfg.echo(), status=st,
-        telemetry=_records_to_rows(records), summary=summary,
-        control_samples=_sample_control(u, t0, T, cfg.export_samples),
-        trajectory_samples=_sample_trajectory(traj, cfg.export_samples),
-        extra_tables={"reference_control": {
-            "columns": ["t"] + [f"u{i + 1}" for i in range(k)],
-            "rows": [[t] + list(row) for t, row in zip(ts, ref_samples)]}})
+        command="underactuated", config=cfg.echo(),
+        status=_status(status, status.success and reduced),
+        telemetry=[asdict(r) for r in records], summary=summary,
+        extra_tables={"reference_control": _sample_table(
+            ts, u_ref.eval_many(ts), "u")},
+        **samples)

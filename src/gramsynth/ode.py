@@ -1,9 +1,8 @@
 """Adaptive embedded Runge-Kutta integration with dense output.
 
 The method is the 8th-order Dormand-Prince pair (DOP853) with its degree-7
-companion interpolant.  Step sizes are chosen by a
-proportional-integral-derivative controller whose default gains (0, 1, 0)
-reduce to the classical integral controller.  Backward integration
+companion interpolant.  Step sizes are chosen by the classical integral
+controller, starting from an automatically chosen step.  Backward integration
 (``t_end < t_start``) is supported directly by stepping with negative h.
 
 A 2-D initial state (B, n) is a batch of B independent rows stepped in
@@ -22,15 +21,16 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from . import _tableaux as tb
 from .errors import NonFiniteState, OutOfSpan, StepLimitExceeded
 
-# Step-size clamps: never shrink below x0.2 or grow above x10 in one step,
-# never step below 1e-14 of the span.
+# Step-size law: h * SAFETY * err**(-1/(q+1)), never shrunk below x0.2 or
+# grown above x10 in one step; never step below 1e-14 of the span.
+SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 H_MIN_FRACTION = 1e-14
@@ -38,29 +38,17 @@ H_MIN_FRACTION = 1e-14
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and step-control settings for `integrate`.
-
-    ``controller_gains`` are the (p, i, d) coefficients of the step-size
-    controller; the default (0, 1, 0) is the plain integral controller.
-    ``initial_step`` of None selects the starting step automatically.
-    """
+    """Tolerances and step budget of `integrate`."""
 
     rtol: float = 1e-8
     atol: float = 1e-10
     max_steps: int = 200_000
-    initial_step: Optional[float] = None
-    controller_gains: Tuple[float, float, float] = (0.0, 1.0, 0.0)
-    safety_factor: float = 0.9
 
     def __post_init__(self):
         if not (self.rtol > 0.0 and self.atol > 0.0):
             raise ValueError("rtol and atol must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if len(self.controller_gains) != 3:
-            raise ValueError("controller_gains must be a (p, i, d) triple")
-        if not (0.0 < self.safety_factor <= 1.0):
-            raise ValueError("safety_factor must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -81,30 +69,16 @@ class OdeProblem:
             raise ValueError("t_start and t_end must differ")
 
 
-def adapt_step(error_norm: float, h: float, config: SolverConfig,
-               history: Sequence[float] = ()) -> float:
-    """Next step size from the (p, i, d) controller law.
+def adapt_step(error_norm: float, h: float) -> float:
+    """Next step size from the integral controller law.
 
-    ``history`` holds the error norms of up to two preceding steps (most
-    recent first); missing entries are treated as 1 (neutral).  With gains
-    (0, 1, 0) this reduces to ``h * safety * error_norm**(-1/(q+1))`` where
-    q is the embedded error-estimator order.  The returned step is clamped
-    to [0.2, 10] times h.
+    ``h * SAFETY * error_norm**(-1/(q+1))`` with q the embedded
+    error-estimator order, clamped to [0.2, 10] times h.
     """
-    p, i, d = config.controller_gains
-    k = tb.DOP853_ERROR_ORDER + 1
-    beta = ((p + i + d) / k, -(p + 2.0 * d) / k, d / k)
-    errs = (error_norm,) + tuple(history[:2]) + (1.0, 1.0)
-    factor = config.safety_factor
-    for b, e in zip(beta, errs):
-        if b == 0.0:
-            continue
-        if e <= 0.0:
-            factor = MAX_FACTOR
-            break
-        factor *= e ** (-b)
-    factor = min(MAX_FACTOR, max(MIN_FACTOR, factor))
-    return h * factor
+    if error_norm <= 0.0:
+        return h * MAX_FACTOR
+    factor = SAFETY * error_norm ** (-1.0 / (tb.DOP853_ERROR_ORDER + 1))
+    return h * min(MAX_FACTOR, max(MIN_FACTOR, factor))
 
 
 def _initial_step(fun, t0, y0, f0, direction, span, rtol, atol):
@@ -276,12 +250,8 @@ def integrate(problem: OdeProblem, config: SolverConfig = SolverConfig(),
     K = np.empty((tb.DOP853_N_STAGES_EXTENDED, y.size))
     A, B, C = tb.DOP853_A, tb.DOP853_B, tb.DOP853_C
 
-    if config.initial_step is not None:
-        h_abs = min(abs(config.initial_step), span)
-    else:
-        h_abs = _initial_step(fun, t0, y, f0, direction, span,
-                              config.rtol, config.atol)
-    h_abs = max(h_abs, h_min)
+    h_abs = max(_initial_step(fun, t0, y, f0, direction, span,
+                              config.rtol, config.atol), h_min)
 
     ts = [t0]
     ys = [y.copy()]
@@ -291,7 +261,6 @@ def integrate(problem: OdeProblem, config: SolverConfig = SolverConfig(),
     n_accepted = 0
     n_rejected = 0
     attempts = 0
-    err_history: Tuple[float, ...] = ()
     last_rejected = False
 
     while direction * (t1 - t) > 0.0:
@@ -331,10 +300,9 @@ def integrate(problem: OdeProblem, config: SolverConfig = SolverConfig(),
             if dense:
                 segs.append(_dense_coeffs_dop853(fun, t, y, y_new,
                                                  f_cur, f_new, h, K))
-            h_next = adapt_step(error_norm, h_abs, config, err_history)
+            h_next = adapt_step(error_norm, h_abs)
             if last_rejected:
                 h_next = min(h_next, h_abs)
-            err_history = (max(error_norm, 1e-10),) + err_history[:1]
             t = t_new
             y = y_new
             f_cur = f_new
@@ -344,8 +312,7 @@ def integrate(problem: OdeProblem, config: SolverConfig = SolverConfig(),
             n_accepted += 1
             last_rejected = False
         else:
-            h_abs = min(h_abs, adapt_step(error_norm, h_abs, config,
-                                          err_history))
+            h_abs = min(h_abs, adapt_step(error_norm, h_abs))
             n_rejected += 1
             last_rejected = True
 

@@ -42,7 +42,9 @@ class SynthesisConfig:
     (K) of None picks 201/1001/5001 by dimension; the K quadrature nodes
     are also the synthesized control's sample grid, which costs nothing
     beyond the Gramian pass.  ``regularization`` of None means 0 below
-    dimension 64 and 1e-6 from 64 up.
+    dimension 64 and 1e-6 from 64 up.  The per-pass telemetry integrals
+    (``err_fp`` and the energy) use the 1001-point grids of
+    `fixed_point_error` and `control_energy`.
     """
 
     map_kind: str = "general"
@@ -53,8 +55,6 @@ class SynthesisConfig:
     quadrature_points: Optional[int] = None
     solver: SolverConfig = field(default_factory=SolverConfig)
     regularization: Optional[float] = None
-    fp_grid_points: int = 1001
-    energy_points: int = 1001
 
     def __post_init__(self):
         if self.map_kind not in MAP_KINDS:
@@ -222,9 +222,8 @@ def run_picard(problem, config: SynthesisConfig = SynthesisConfig(),
             config.map_kind, problem, u, config, y,
             "allow" if n == 0 else "raise")
         err_end = endpoint_error(traj, problem.x1)
-        err_fp = fixed_point_error(u_next, u, config.fp_grid_points)
-        energy = control_energy(u, problem.t0, problem.T,
-                                config.energy_points)
+        err_fp = fixed_point_error(u_next, u)
+        energy = control_energy(u, problem.t0, problem.T)
         wall = time.perf_counter() - tic
         records.append(IterationRecord(
             n=n, err_end=err_end, err_fp=err_fp, energy=energy,

@@ -44,9 +44,6 @@ class ControlAffineSystem:
         if not (1 <= self.k <= self.d):
             raise ValueError("input dimension must satisfy 1 <= k <= d")
 
-    def rhs(self, t: float, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return self.drift(t, x) + self.input_matrix(t, x) @ u
-
 
 @dataclass(frozen=True)
 class SteeringProblem:
@@ -115,6 +112,11 @@ def _zero_jac(t, x):
     return np.zeros(x.shape + x.shape[-1:])
 
 
+def _state_jac(t, x, u, jac):
+    """Closed-loop Jacobian of a system whose B does not depend on x."""
+    return jac(t, x)
+
+
 def _unicycle_input(t, x):
     th = x[2]
     return np.array([[math.cos(th), 0.0],
@@ -161,10 +163,6 @@ def _pend_jac(t, x):
     J[..., 1, 0] = -a * np.cos(x[..., 0])
     J[..., 1, 1] = -g
     return J
-
-
-def _pend_cl_jac(t, x, u):
-    return _pend_jac(t, x)
 
 
 _SIR_LAM, _SIR_BETA, _SIR_MU, _SIR_GAM = 1.0, 2.0, 0.2, 1.0
@@ -258,10 +256,6 @@ def _spacecraft_jac(t, x):
     return J
 
 
-def _spacecraft_cl_jac(t, x, u):
-    return _spacecraft_jac(t, x)
-
-
 _HOP_DECAY = np.array([0.5, 0.3])
 _HOP_W = np.array([[0.5, -1.5], [1.5, -0.5]])
 _HOP_DECAY_JAC = -np.diag(_HOP_DECAY)
@@ -276,16 +270,8 @@ def _hopfield_jac(t, x):
     return _HOP_DECAY_JAC + _HOP_W * s[..., None, :]
 
 
-def _hopfield_cl_jac(t, x, u):
-    return _hopfield_jac(t, x)
-
-
 def _const_input(t, x, B):
     return B
-
-
-def _const_cl_jac_from(t, x, u, jac):
-    return jac(t, x)
 
 
 def _mindy_psi(x, alpha, beta):
@@ -309,10 +295,6 @@ def _mindy_jac(t, x, W, decay, alpha, beta):
     return -np.diag(decay) + W * _mindy_psi_deriv(x, alpha, beta)[..., None, :]
 
 
-def _mindy_cl_jac(t, x, u, W, decay, alpha, beta):
-    return _mindy_jac(t, x, W, decay, alpha, beta)
-
-
 def _lti_drift(t, x, A):
     return x @ A.T
 
@@ -321,21 +303,18 @@ def _lti_jac(t, x, A):
     return np.broadcast_to(A, x.shape[:-1] + A.shape).copy()
 
 
-def _lti_cl_jac(t, x, u, A):
-    return np.array(A)
-
-
 def linear_system(A: np.ndarray, B: np.ndarray, name: str = "lti") -> ControlAffineSystem:
     """LTI system dx/dt = A x + B u (mainly for oracle tests)."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     d, k = B.shape
+    jac = partial(_lti_jac, A=A)
     return ControlAffineSystem(
         name=name, d=d, k=k,
         drift=partial(_lti_drift, A=A),
         input_matrix=partial(_const_input, B=B),
-        drift_jacobian=partial(_lti_jac, A=A),
-        closed_loop_jacobian=partial(_lti_cl_jac, A=A),
+        drift_jacobian=jac,
+        closed_loop_jacobian=partial(_state_jac, jac=jac),
     )
 
 
@@ -359,12 +338,13 @@ def mindy_like(d: int, k: int, seed: int = 0) -> ControlAffineSystem:
     decay = rng.uniform(0.3, 0.7, size=d)
     B = np.eye(d)[:, :k].copy()
     params = dict(W=W, decay=decay, alpha=alpha, beta=beta)
+    jac = partial(_mindy_jac, **params)
     return ControlAffineSystem(
         name=f"mindy_like_d{d}_k{k}_s{seed}", d=d, k=k,
         drift=partial(_mindy_drift, **params),
         input_matrix=partial(_const_input, B=B),
-        drift_jacobian=partial(_mindy_jac, **params),
-        closed_loop_jacobian=partial(_mindy_cl_jac, **params),
+        drift_jacobian=jac,
+        closed_loop_jacobian=partial(_state_jac, jac=jac),
     )
 
 
@@ -403,7 +383,8 @@ def make_benchmark(name: str, params: Optional[dict] = None):
         system = ControlAffineSystem(
             name="pendulum", d=2, k=1,
             drift=_pend_drift, input_matrix=_pend_input,
-            drift_jacobian=_pend_jac, closed_loop_jacobian=_pend_cl_jac)
+            drift_jacobian=_pend_jac,
+            closed_loop_jacobian=partial(_state_jac, jac=_pend_jac))
         bounds = dict(x0=[0.0, 0.0], x1=[math.pi, 0.0], t0=0.5, T=1.5)
     elif name == "sir":
         system = ControlAffineSystem(
@@ -416,7 +397,7 @@ def make_benchmark(name: str, params: Optional[dict] = None):
             name="spacecraft", d=6, k=3,
             drift=_spacecraft_drift, input_matrix=_spacecraft_input,
             drift_jacobian=_spacecraft_jac,
-            closed_loop_jacobian=_spacecraft_cl_jac)
+            closed_loop_jacobian=partial(_state_jac, jac=_spacecraft_jac))
         bounds = dict(x0=[0.3, 0.2, 0.1, 0.0, 0.0, 0.0],
                       x1=[0.0] * 6, t0=0.0, T=5.0)
     elif name in ("hopfield2d_full", "hopfield2d_under"):
@@ -429,7 +410,7 @@ def make_benchmark(name: str, params: Optional[dict] = None):
             drift=_hopfield_drift,
             input_matrix=partial(_const_input, B=B),
             drift_jacobian=_hopfield_jac,
-            closed_loop_jacobian=_hopfield_cl_jac)
+            closed_loop_jacobian=partial(_state_jac, jac=_hopfield_jac))
         bounds = dict(x0=[1.0, 1.0], x1=[-1.0, -1.0], t0=0.0, T=1.5)
     else:  # mindy_like
         d = int(p.pop("d", 100))

@@ -157,6 +157,38 @@ def test_reference_artifact_and_determinism(tmp_path):
     assert coeffs.shape == (2, 6)
 
 
+def test_reference_without_simulation(tmp_path):
+    base = {
+        "system": {"name": "unicycle"},
+        "reference": {"degree": 5, "sigma": 0.2, "simulate": False},
+        "seed": 42,
+        "export": {"samples": 51},
+    }
+    cfg = _cfg(tmp_path, base=base)
+    art = run_reference(cfg)
+    assert art.success
+    assert "endpoint" not in art.summary
+    assert "err_end" not in art.summary
+    art.save(cfg.out_dir)
+    assert (tmp_path / "out" / "control.csv").exists()
+    assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+
+def test_synthesize_certificate_with_anchor_override(tmp_path):
+    # the certificate must use the residual of the anchor the synthesis
+    # solved (t0 here), not the benchmark's default anchor T
+    base = {
+        "system": {"name": "hopfield2d_full"},
+        "synthesis": {"map_kind": "general", "anchor": 1, "n_max": 20,
+                      "quadrature_points": 201},
+        "solver": {"rtol": 1e-8, "atol": 1e-10},
+        "export": {"samples": 51},
+    }
+    art = run_synthesize(_cfg(tmp_path, base=base))
+    assert art.summary["anchor"] == 1
+    assert art.summary["certificate_rel_gap"] <= 1e-4  # C7's bound
+
+
 def test_scale_run_structure_and_determinism(tmp_path):
     base = {
         "system": {"name": "mindy_like"},
