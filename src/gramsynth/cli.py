@@ -1,16 +1,14 @@
 """Command-line experiment runner.
 
 Subcommands: synthesize, scale, underactuated, baseline, reference.
-Common flags (--out, --seed, --format) override the config file;
-environment variables prefixed GRAMSYNTH_ (OUT, SEED, FORMAT) supply
-defaults for the flags.  Exit code 0 means the run ended
-on a successful termination criterion.
+Common flags (--out, --seed, --format) override the config file; each
+setting has no other source.  Exit code 0 means the run ended on a
+successful termination criterion, 1 a failed run, 2 a config error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .errors import ConfigError, GramsynthError
@@ -24,16 +22,6 @@ _COMMANDS = {
     "baseline": run_baseline,
     "reference": run_reference,
 }
-
-
-def _env(name, cast=str):
-    raw = os.environ.get(f"GRAMSYNTH_{name}")
-    if raw is None:
-        return None
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ConfigError(f"bad GRAMSYNTH_{name}={raw!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,19 +40,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    out = args.out or _env("OUT")
-    seed = args.seed if args.seed is not None else _env("SEED", int)
-    fmt = args.format or _env("FORMAT")
-    if out is not None:
-        cfg.out_dir = out
-    if seed is not None:
-        cfg.seed = seed
-    if fmt is not None:
-        if fmt not in ("csv", "json"):
-            raise ConfigError("--format must be csv or json")
-        cfg.export_format = fmt
-    cfg.raw["out_dir"] = cfg.out_dir
-    cfg.raw.setdefault("export", {})["format"] = cfg.export_format
+    if args.out:
+        cfg.out_dir = args.out
+    if args.seed is not None:
+        cfg.seed = args.seed
+    if args.format is not None:
+        cfg.export_format = args.format
     return cfg
 
 

@@ -85,24 +85,15 @@ class SynthesizedControl(ControlFunction):
         self.grid_ts = np.asarray(grid_ts, dtype=float)
         self.grid_values = np.asarray(grid_values, dtype=float)
         self.solve_info = solve_info
-        self._spline = None
-        self._coef = None    # the spline's own (4, K-1, k) array, no copy
-        self._knots = None   # grid_ts as a list, for bisect
-
-    def _interpolant(self) -> CubicSpline:
-        if self._spline is None:
-            bc = "not-a-knot" if self.grid_ts.size >= 4 else "natural"
-            self._spline = CubicSpline(self.grid_ts, self.grid_values,
-                                       axis=0, bc_type=bc)
-            self._coef = self._spline.c
-            self._knots = self.grid_ts.tolist()
-        return self._spline
+        bc = "not-a-knot" if self.grid_ts.size >= 4 else "natural"
+        self._spline = CubicSpline(self.grid_ts, self.grid_values, axis=0,
+                                   bc_type=bc)
+        self._coef = self._spline.c       # (4, K-1, k), held without a copy
+        self._knots = self.grid_ts.tolist()  # for bisect
 
     def __call__(self, t: float) -> np.ndarray:
         """The scalar path: exact at grid nodes, else the interval's cubic."""
         t = float(t)
-        if self._coef is None:
-            self._interpolant()
         knots = self._knots
         i = bisect_left(knots, t)
         if i < len(knots) and knots[i] == t:
@@ -114,7 +105,7 @@ class SynthesizedControl(ControlFunction):
 
     def eval_many(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float).ravel()
-        vals = np.asarray(self._interpolant()(ts), dtype=float)
+        vals = np.asarray(self._spline(ts), dtype=float)
         vals = vals.reshape(ts.size, self.k)
         # exact samples where queries hit grid nodes
         idx = np.searchsorted(self.grid_ts, ts)
@@ -122,9 +113,3 @@ class SynthesizedControl(ControlFunction):
         on_node = self.grid_ts[idx] == ts
         vals[on_node] = self.grid_values[idx[on_node]]
         return vals
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        # rebuilt lazily; keeps pickles small
-        state.update(_spline=None, _coef=None, _knots=None)
-        return state

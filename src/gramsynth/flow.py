@@ -19,6 +19,7 @@ from functools import partial
 
 import numpy as np
 
+from .controls import ControlFunction
 from .ode import DenseSolution, OdeProblem, SolverConfig, integrate
 from .quadrature import cumulative_simpson, simpson_rule
 from .systems import ControlAffineSystem, SteeringProblem, drift_flow
@@ -42,7 +43,7 @@ class Trajectory:
     """A controlled trajectory: the control, its dense solution, the system."""
 
     system: ControlAffineSystem
-    control: object  # evaluable: u(t) -> (k,)
+    control: ControlFunction
     solution: DenseSolution
 
     @property
@@ -207,8 +208,7 @@ def flow_conjugate_profile(problem: SteeringProblem, traj: Trajectory,
     sys_ = problem.system
     rule = simpson_rule(t0, T, nodes)
     D = flow_input_products(traj, rule.nodes, tau, config)
-    u_vals = _eval_control(traj.control, rule.nodes, sys_.k)
-    integrand = np.einsum("jim,jm->ji", D, u_vals)
+    integrand = np.einsum("jim,jm->ji", D, traj.control.eval_many(rule.nodes))
     prefixes = cumulative_simpson(integrand, rule)  # ((K+1)//2, d)
     base = drift_flow(sys_, t0, tau, problem.x0, config)
     times, defects = [], []
@@ -221,12 +221,3 @@ def flow_conjugate_profile(problem: SteeringProblem, traj: Trajectory,
         times.append(t)
         defects.append(float(np.linalg.norm(traj.state(t) - predicted)))
     return np.asarray(times), np.asarray(defects)
-
-
-def _eval_control(u, ts, k) -> np.ndarray:
-    """Control samples stacked as (len(ts), k)."""
-    eval_many = getattr(u, "eval_many", None)
-    if eval_many is not None:
-        return np.asarray(eval_many(ts), dtype=float).reshape(len(ts), k)
-    return np.stack([np.asarray(u(float(t)), dtype=float).reshape(k)
-                     for t in ts])

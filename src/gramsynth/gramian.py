@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import SingularGramian
 from .quadrature import QuadratureRule, simpson_rule  # noqa: F401  (re-export)
 
-# Relative least-squares residual above which the iterate is considered to
-# have left the coercive feasibility set.
+# Relative least-squares residual above which a solve is flagged deficient:
+# the iterate has left the coercive feasibility set.
 DEFICIENCY_TOL = 1e-6
 
 # Factorizations whose condition proxy exceeds this are treated as failed
@@ -29,11 +28,10 @@ CONDITION_LIMIT = 1e14
 
 @dataclass(frozen=True)
 class GramianMatrix:
-    """A d x d trajectory Gramian with its quadrature metadata."""
+    """A d x d trajectory Gramian and its kind."""
 
     matrix: np.ndarray
     kind: str  # "symmetric" | "mixed"
-    rule: QuadratureRule
 
     @property
     def d(self) -> int:
@@ -76,7 +74,7 @@ def assemble_symmetric_from_samples(samples: np.ndarray,
     """Weighted sum of D_k D_k^T over quadrature samples, symmetrized."""
     M = _weighted_outer_sum(rule.weights, samples, samples)
     M = 0.5 * (M + M.T)
-    return GramianMatrix(matrix=M, kind="symmetric", rule=rule)
+    return GramianMatrix(matrix=M, kind="symmetric")
 
 
 def assemble_mixed_from_samples(flow_samples: np.ndarray,
@@ -84,11 +82,11 @@ def assemble_mixed_from_samples(flow_samples: np.ndarray,
                                 rule: QuadratureRule) -> GramianMatrix:
     """Weighted sum of D_k C_k^T; no symmetrization."""
     M = _weighted_outer_sum(rule.weights, flow_samples, chain_samples)
-    return GramianMatrix(matrix=M, kind="mixed", rule=rule)
+    return GramianMatrix(matrix=M, kind="mixed")
 
 
-def solve_gramian(G: GramianMatrix, y: np.ndarray, reg: float = 0.0,
-                  on_deficient: str = "raise") -> GramianSolve:
+def solve_gramian(G: GramianMatrix, y: np.ndarray,
+                  reg: float = 0.0) -> GramianSolve:
     """Solve G lam = y through a factorization of G + reg*Id.
 
     Symmetric Gramians go through Cholesky, mixed ones through LU; if the
@@ -100,13 +98,10 @@ def solve_gramian(G: GramianMatrix, y: np.ndarray, reg: float = 0.0,
     is actually doing its job).
 
     A least-squares residual above ``DEFICIENCY_TOL * |y|`` signals loss
-    of coercivity: with ``on_deficient="raise"`` that raises
-    `SingularGramian`, with ``"allow"`` the deficient solve is returned
-    flagged (this is how rank-deficient initial iterates, e.g. the resting
-    unicycle, proceed).
+    of coercivity.  The solve only reports it, as ``deficient``; whether
+    that is an error is the caller's decision (`run_picard` accepts it at
+    the initial iterate only).
     """
-    if on_deficient not in ("raise", "allow"):
-        raise ValueError("on_deficient must be 'raise' or 'allow'")
     y = np.asarray(y, dtype=float)
     M = G.matrix + reg * np.eye(G.d) if reg != 0.0 else G.matrix
 
@@ -153,16 +148,10 @@ def solve_gramian(G: GramianMatrix, y: np.ndarray, reg: float = 0.0,
     res_reg = float(np.linalg.norm(M @ lam - y)) if reg != 0.0 else res
     ynorm = float(np.linalg.norm(y))
     rel = res / ynorm if ynorm > 0.0 else 0.0
-    deficient = method == "lstsq" and rel > DEFICIENCY_TOL
-    if deficient and on_deficient == "raise":
-        raise SingularGramian(
-            f"least-squares residual {rel:.3e} of |y| exceeds "
-            f"{DEFICIENCY_TOL:g}: Gramian not coercive on this iterate",
-            residual=res, rel_residual=rel)
-
     return GramianSolve(lam=lam, residual=res, rel_residual=rel,
                         method=method, condition_estimate=condition,
-                        deficient=deficient, residual_regularized=res_reg,
+                        deficient=method == "lstsq" and rel > DEFICIENCY_TOL,
+                        residual_regularized=res_reg,
                         regularization=reg)
 
 

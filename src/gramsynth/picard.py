@@ -12,16 +12,17 @@ control-update tolerance).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .controls import ControlFunction, SynthesizedControl, ZeroControl
-from .errors import PicardDiverged
+from .errors import PicardDiverged, SingularGramian
 from .flow import (Trajectory, chain_input_products, flow_input_products,
                    residual, solve_trajectory)
-from .gramian import (GramianMatrix, assemble_mixed_from_samples,
+from .gramian import (DEFICIENCY_TOL, GramianMatrix,
+                      assemble_mixed_from_samples,
                       assemble_symmetric_from_samples, simpson_rule,
                       solve_gramian)
 from .ode import SolverConfig
@@ -38,17 +39,17 @@ _DEFAULT_REG = 1e-6
 class SynthesisConfig:
     """Settings of one Picard synthesis run.
 
-    ``anchor`` of None defers to the problem's anchor.  ``quadrature_points``
-    (K) of None picks 201/1001/5001 by dimension; the K quadrature nodes
-    are also the synthesized control's sample grid, which costs nothing
-    beyond the Gramian pass.  ``regularization`` of None means 0 below
+    The anchor is set on the problem only (`SteeringProblem.anchor`,
+    ``system.params.anchor`` in a config).  ``quadrature_points`` (K) of
+    None picks 201/1001/5001 by dimension; the K quadrature nodes are also
+    the synthesized control's sample grid, which costs nothing beyond the
+    Gramian pass.  ``regularization`` of None means 0 below
     dimension 64 and 1e-6 from 64 up.  The per-pass telemetry integrals
     (``err_fp`` and the energy) use the 1001-point grids of
     `fixed_point_error` and `control_energy`.
     """
 
     map_kind: str = "general"
-    anchor: Optional[int] = None
     n_max: int = 20
     eps_x: float = 1e-9
     eps_u: float = 1e-9
@@ -63,8 +64,6 @@ class SynthesisConfig:
             raise ValueError("n_max must be >= 1")
         if not (self.eps_x > 0 and self.eps_u > 0):
             raise ValueError("tolerances must be positive")
-        if self.anchor not in (None, 1, 2):
-            raise ValueError("anchor must be 1, 2, or None")
 
     def resolved_points(self, d: int) -> int:
         return self.quadrature_points or default_node_count(d)
@@ -104,12 +103,6 @@ class RunStatus:
                                   "max_iterations")
 
 
-def _resolve_problem(problem, config):
-    if config.anchor is not None and config.anchor != problem.anchor:
-        problem = replace(problem, anchor=config.anchor)
-    return problem
-
-
 def _finish_control(tau, kind, rule, samples, solve_info):
     """The synthesized control, sampled at the quadrature nodes."""
     lam = solve_info.lam
@@ -119,7 +112,7 @@ def _finish_control(tau, kind, rule, samples, solve_info):
         solve_info=solve_info)
 
 
-def _apply_map(kind, problem, u, config, y, on_deficient):
+def _apply_map(kind, problem, u, config, y):
     """One application of map ``kind`` to u, with the residual y given."""
     d = problem.system.d
     tau = problem.anchor_time
@@ -132,29 +125,30 @@ def _apply_map(kind, problem, u, config, y, on_deficient):
     else:
         rows = chain_input_products(traj, u, rule.nodes, tau, config.solver)
         gram = assemble_mixed_from_samples(D, rows, rule)
-    sol = solve_gramian(gram, y, reg=config.resolved_regularization(d),
-                        on_deficient=on_deficient)
+    sol = solve_gramian(gram, y, reg=config.resolved_regularization(d))
     return _finish_control(tau, kind, rule, rows, sol), traj, gram
 
 
 def apply_general_map(problem, u: ControlFunction,
-                      config: SynthesisConfig = SynthesisConfig(),
-                      on_deficient: str = "raise"
+                      config: SynthesisConfig = SynthesisConfig()
                       ) -> Tuple[ControlFunction, Trajectory, GramianMatrix]:
-    """One application of the symmetric-Gramian steering map."""
-    problem = _resolve_problem(problem, config)
+    """One application of the symmetric-Gramian steering map.
+
+    A rank-deficient Gramian does not raise; ``u.solve_info`` flags it.
+    """
     return _apply_map("general", problem, u, config,
-                      residual(problem, config.solver), on_deficient)
+                      residual(problem, config.solver))
 
 
 def apply_minimum_energy_map(problem, u: ControlFunction,
-                             config: SynthesisConfig = SynthesisConfig(),
-                             on_deficient: str = "raise"
+                             config: SynthesisConfig = SynthesisConfig()
                              ) -> Tuple[ControlFunction, Trajectory, GramianMatrix]:
-    """One application of the Lagrange-multiplier (mixed-Gramian) map."""
-    problem = _resolve_problem(problem, config)
+    """One application of the Lagrange-multiplier (mixed-Gramian) map.
+
+    A rank-deficient Gramian does not raise; ``u.solve_info`` flags it.
+    """
     return _apply_map("minimum_energy", problem, u, config,
-                      residual(problem, config.solver), on_deficient)
+                      residual(problem, config.solver))
 
 
 def endpoint_error(traj: Trajectory, x1: np.ndarray) -> float:
@@ -179,11 +173,9 @@ def control_energy(u: ControlFunction, t0: float, T: float,
     return 0.5 * float(rule.weights @ np.sum(vals * vals, axis=1))
 
 
-def energy_certificate(G: GramianMatrix, y: np.ndarray,
-                       lam: np.ndarray) -> float:
-    """1/2 y^T lam; equals the control energy at a symmetric-map fixed point."""
-    if G.kind != "symmetric":
-        raise ValueError("energy certificate applies to the symmetric Gramian")
+def energy_certificate(y: np.ndarray, lam: np.ndarray) -> float:
+    """1/2 y^T lam; equals the control energy at a fixed point of the
+    general (symmetric-Gramian) map."""
     return 0.5 * float(np.asarray(y) @ np.asarray(lam))
 
 
@@ -200,13 +192,13 @@ def run_picard(problem, config: SynthesisConfig = SynthesisConfig(),
                ) -> Tuple[ControlFunction, List[IterationRecord], RunStatus]:
     """Picard iteration of the selected synthesis map from u0 (default zero).
 
-    A rank-deficient Gramian at the initial iterate proceeds through the
-    minimum-norm least-squares solve and is reported via
+    This is the one place that decides on rank deficiency, which
+    `solve_gramian` only flags: at the initial iterate the minimum-norm
+    least-squares solve proceeds and is reported via
     ``status.initial_gramian_ok``; from iteration 1 on it raises
     `SingularGramian`.  Persistent endpoint-error growth (three consecutive
     increases totalling x10) raises `PicardDiverged`.
     """
-    problem = _resolve_problem(problem, config)
     # the drift flow of x0 or x1 does not depend on u: solved once per run
     y = residual(problem, config.solver)
     u: ControlFunction = u0 if u0 is not None else ZeroControl(
@@ -214,13 +206,18 @@ def run_picard(problem, config: SynthesisConfig = SynthesisConfig(),
 
     records: List[IterationRecord] = []
     err_trace: List[float] = []
-    initial_ok = True
 
     for n in range(config.n_max):
         tic = time.perf_counter()
-        u_next, traj, _ = _apply_map(
-            config.map_kind, problem, u, config, y,
-            "allow" if n == 0 else "raise")
+        u_next, traj, _ = _apply_map(config.map_kind, problem, u, config, y)
+        sol = u_next.solve_info
+        if n == 0:
+            initial_ok = not sol.deficient
+        elif sol.deficient:
+            raise SingularGramian(
+                f"least-squares residual {sol.rel_residual:.3e} of |y| "
+                f"exceeds {DEFICIENCY_TOL:g}: Gramian not coercive on this "
+                "iterate", residual=sol.residual, rel_residual=sol.rel_residual)
         err_end = endpoint_error(traj, problem.x1)
         err_fp = fixed_point_error(u_next, u)
         energy = control_energy(u, problem.t0, problem.T)
@@ -228,10 +225,7 @@ def run_picard(problem, config: SynthesisConfig = SynthesisConfig(),
         records.append(IterationRecord(
             n=n, err_end=err_end, err_fp=err_fp, energy=energy,
             energy_sq_norm=2.0 * energy,
-            gramian_condition=u_next.solve_info.condition_estimate,
-            wall_time=wall))
-        if n == 0:
-            initial_ok = not u_next.solve_info.deficient
+            gramian_condition=sol.condition_estimate, wall_time=wall))
 
         if err_end <= config.eps_x:
             return u, records, RunStatus(

@@ -44,6 +44,8 @@ def test_config_validation_errors():
         ExperimentConfig.from_dict({"solver": {"rtol": -1.0}})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"synthesis": {"unknown_option": 1}})
+    with pytest.raises(ConfigError):   # the anchor is set on the problem
+        ExperimentConfig.from_dict({"synthesis": {"anchor": 1}})
 
 
 def test_config_missing_file():
@@ -104,20 +106,26 @@ def test_run_determinism_modulo_timing(tmp_path):
 
 
 def test_synthesize_error_artifact(tmp_path):
-    # unreachable coercivity: constant single input direction, zero drift
+    # a 3-attempt step budget makes the first trajectory solve raise
+    # StepLimitExceeded inside run_picard
     bad = {
         "system": {"name": "hopfield2d_under",
                    "params": {"x0": [0.0, 0.0], "x1": [1.0, -1.0]}},
         "synthesis": {"map_kind": "general", "n_max": 3,
                       "quadrature_points": 51},
-        "solver": {"rtol": 1e-7, "atol": 1e-9},
+        "solver": {"rtol": 1e-7, "atol": 1e-9, "max_steps": 3},
     }
     cfg = _cfg(tmp_path, base=bad)
     art = run_synthesize(cfg)
-    # either it errors (left the coercive set) or fails to converge; the
-    # artifact must stay well-formed either way
-    assert isinstance(art.status["success"], bool)
+    assert art.success is False
+    assert art.status["criterion"] == "error"
+    assert art.status["message"] == ("StepLimitExceeded: no convergence "
+                                     "within 3 step attempts")
+    assert art.telemetry == [] and art.summary == {}
     assert art.schema == "v1"
+    art.save(cfg.out_dir)
+    assert (tmp_path / "out" / "summary.json").exists()
+    assert not (tmp_path / "out" / "telemetry.csv").exists()
 
 
 def test_baseline_artifact(tmp_path):
@@ -178,8 +186,8 @@ def test_synthesize_certificate_with_anchor_override(tmp_path):
     # the certificate must use the residual of the anchor the synthesis
     # solved (t0 here), not the benchmark's default anchor T
     base = {
-        "system": {"name": "hopfield2d_full"},
-        "synthesis": {"map_kind": "general", "anchor": 1, "n_max": 20,
+        "system": {"name": "hopfield2d_full", "params": {"anchor": 1}},
+        "synthesis": {"map_kind": "general", "n_max": 20,
                       "quadrature_points": 201},
         "solver": {"rtol": 1e-8, "atol": 1e-10},
         "export": {"samples": 51},
@@ -239,7 +247,7 @@ def test_underactuated_small_surrogate(tmp_path):
             ["t"] + [f"u{i+1}" for i in range(k)]
 
 
-def test_cli_exit_codes_and_env(tmp_path, monkeypatch, capsys):
+def test_cli_exit_codes(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     data = copy.deepcopy(FAST_UNICYCLE)
     data["out_dir"] = str(tmp_path / "cli_out")
@@ -253,15 +261,12 @@ def test_cli_exit_codes_and_env(tmp_path, monkeypatch, capsys):
                      "--out", str(tmp_path / "flag_out")]) == 0
     assert (tmp_path / "flag_out" / "summary.json").exists()
 
-    # env var override
-    monkeypatch.setenv("GRAMSYNTH_OUT", str(tmp_path / "env_out"))
-    assert cli_main(["synthesize", str(cfg_path)]) == 0
-    assert (tmp_path / "env_out" / "summary.json").exists()
-    monkeypatch.delenv("GRAMSYNTH_OUT")
-
     # config errors exit 2
     bad_path = tmp_path / "bad.json"
     bad_path.write_text("{not json")
+    assert cli_main(["synthesize", str(bad_path)]) == 2
+    data["synthesis"]["anchor"] = 1
+    bad_path.write_text(json.dumps(data))
     assert cli_main(["synthesize", str(bad_path)]) == 2
 
     # json format suppresses csv exports

@@ -1,0 +1,41 @@
+"""Import hygiene: every name a module imports is referenced in it.
+
+A plain AST scan, so it needs no linter.  Package ``__init__.py`` files
+re-export by importing, and a line marked ``# noqa: F401`` is an
+intended re-export; both are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _unused_imports(path):
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        span = lines[node.lineno - 1:node.end_lineno]
+        if any("noqa: F401" in line for line in span):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{path.relative_to(ROOT)}:{line}: {name}"
+                  for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports():
+    files = [p for p in sorted((ROOT / "src" / "gramsynth").glob("*.py"))
+             + sorted((ROOT / "tests").glob("*.py"))
+             if p.name != "__init__.py"]
+    assert len(files) > 10
+    unused = [hit for p in files for hit in _unused_imports(p)]
+    assert unused == []

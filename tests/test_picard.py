@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from gramsynth import (GramianMatrix, SingularGramian, SteeringProblem,
-                       SynthesisConfig, ZeroControl,
-                       apply_general_map, apply_minimum_energy_map,
-                       control_energy, drift_flow, endpoint_error,
-                       energy_certificate, fixed_point_error,
-                       flow_input_products,
-                       linear_system, make_benchmark,
-                       residual, run_picard, simpson_rule, solve_trajectory)
+from gramsynth import (SingularGramian, SteeringProblem, SynthesisConfig,
+                       ZeroControl, apply_general_map,
+                       apply_minimum_energy_map, control_energy, drift_flow,
+                       endpoint_error, energy_certificate, fixed_point_error,
+                       flow_input_products, linear_system, make_benchmark,
+                       residual, run_picard, solve_trajectory)
 from gramsynth.controls import ClosedFormControl
-from gramsynth.picard import _resolve_problem
+from gramsynth.gramian import DEFICIENCY_TOL
 from tests.conftest import lti_min_energy_control
 
 
@@ -127,8 +125,10 @@ def test_minimum_energy_map_equals_general_for_lti(lti_pair, paper_solver):
 def test_unicycle_two_applications(paper_solver):
     system, problem = make_benchmark("unicycle")
     cfg = SynthesisConfig(quadrature_points=401, solver=paper_solver)
-    u1, _, _ = apply_general_map(problem, ZeroControl(2, (0.0, 2.0)), cfg,
-                                 on_deficient="allow")
+    # the resting unicycle's first Gramian is rank-deficient: flagged,
+    # not raised, by the single-pass map
+    u1, _, _ = apply_general_map(problem, ZeroControl(2, (0.0, 2.0)), cfg)
+    assert u1.solve_info.deficient
     u2, _, _ = apply_general_map(problem, u1, cfg)
     traj = solve_trajectory(problem, u2, paper_solver)
     assert np.linalg.norm(traj.endpoint - problem.x1) <= 1e-9
@@ -141,8 +141,9 @@ def test_singular_gramian_raises_after_first_iteration(paper_solver):
     problem = SteeringProblem(system, np.zeros(2), np.array([0.5, 0.5]),
                               0.0, 1.0)
     cfg = SynthesisConfig(quadrature_points=51, solver=paper_solver, n_max=5)
-    with pytest.raises(SingularGramian):
+    with pytest.raises(SingularGramian) as exc:
         run_picard(problem, cfg)
+    assert exc.value.rel_residual > DEFICIENCY_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +217,6 @@ def test_anchor_equivalence_on_unicycle(paper_solver):
         assert records[-1].err_end <= 1e-9
 
 
-def test_config_anchor_override():
-    system, problem = make_benchmark("unicycle")
-    cfg = SynthesisConfig(anchor=1)
-    assert _resolve_problem(problem, cfg).anchor == 1
-    assert _resolve_problem(problem, SynthesisConfig()).anchor == 2
-
-
 def test_synthesis_config_validation():
     with pytest.raises(ValueError):
         SynthesisConfig(map_kind="fastest")
@@ -230,8 +224,6 @@ def test_synthesis_config_validation():
         SynthesisConfig(n_max=0)
     with pytest.raises(ValueError):
         SynthesisConfig(eps_x=0.0)
-    with pytest.raises(ValueError):
-        SynthesisConfig(anchor=3)
     c = SynthesisConfig()
     assert c.resolved_points(3) == 201
     assert c.resolved_points(32) == 1001
@@ -272,17 +264,11 @@ def test_control_energy_examples():
 
 
 def test_energy_certificate_examples():
-    rule = simpson_rule(0.0, 1.0, 3)
-    G = GramianMatrix(np.eye(2), "symmetric", rule)
-    assert energy_certificate(G, np.array([1.0, 0.0]),
+    assert energy_certificate(np.array([1.0, 0.0]),
                               np.array([1.0, 0.0])) == pytest.approx(0.5)
-    D = GramianMatrix(np.diag([2.0, 0.5]), "symmetric", rule)
-    lam = np.linalg.solve(D.matrix, np.array([1.0, 1.0]))
-    assert energy_certificate(D, np.array([1.0, 1.0]), lam) \
+    lam = np.linalg.solve(np.diag([2.0, 0.5]), np.array([1.0, 1.0]))
+    assert energy_certificate(np.array([1.0, 1.0]), lam) \
         == pytest.approx(1.25)
-    M = GramianMatrix(np.eye(2), "mixed", rule)
-    with pytest.raises(ValueError):
-        energy_certificate(M, np.zeros(2), np.zeros(2))
 
 
 def test_certificate_matches_energy_scalar_integrator(paper_solver):
@@ -290,10 +276,9 @@ def test_certificate_matches_energy_scalar_integrator(paper_solver):
     system = linear_system(np.zeros((1, 1)), np.eye(1))
     problem = SteeringProblem(system, np.zeros(1), np.array([2.0]), 0.0, 1.0)
     cfg = SynthesisConfig(quadrature_points=51, solver=paper_solver)
-    u1, traj, gram = apply_general_map(problem, ZeroControl(1, (0.0, 1.0)),
-                                       cfg)
+    u1, _, _ = apply_general_map(problem, ZeroControl(1, (0.0, 1.0)), cfg)
     y = residual(problem, paper_solver)
-    cert = energy_certificate(gram, y, u1.lam)
+    cert = energy_certificate(y, u1.lam)
     assert cert == pytest.approx(2.0, abs=1e-8)
     assert control_energy(u1, 0.0, 1.0) == pytest.approx(2.0, abs=1e-8)
 
