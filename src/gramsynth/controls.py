@@ -4,9 +4,11 @@ A control is an evaluable map t -> R^k on [t0, T].  Three representations
 exist: the zero control, closed-form user maps, and synthesized controls
 carrying the Gramian multiplier.  Synthesized controls store their exact
 values on the synthesis grid and answer queries between grid nodes through
-a cubic spline: `eval_many` evaluates a sample grid in one vectorized
-pass, and a scalar call reads the interval's cubic straight from the
-spline's coefficient array.
+a cubic spline held as a (4, K-1, k) coefficient array, built here the
+way scipy's `CubicSpline` builds it, so no scipy spline object (and no
+`scipy.interpolate`) is needed: `eval_many` evaluates a sample grid in one
+vectorized pass, bit-identical to `CubicSpline`, and a scalar call reads
+the interval's cubic straight from the coefficient array.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from bisect import bisect_left
 from typing import Callable, Tuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+import scipy.linalg
 
 
 class ControlFunction:
@@ -66,13 +68,55 @@ class ClosedFormControl(ControlFunction):
         return super().eval_many(ts)
 
 
+def _spline_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients (4, K-1, k) of the cubic spline through (x, y).
+
+    Built with scipy's `CubicSpline` arithmetic, operation for operation,
+    so the array is bit-identical to its ``c``: the knot slopes solve the
+    tridiagonal system with not-a-knot ends for K >= 4 and natural ends
+    below, and each interval holds the cubic Hermite coefficients in
+    powers of (t - x_i), highest first.
+    """
+    n = x.size
+    dx = np.diff(x)
+    dxr = dx[:, None]
+    slope = np.diff(y, axis=0) / dxr
+    ab = np.zeros((3, n))        # bands: upper, diagonal, lower
+    ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    ab[0, 2:] = dx[:-1]
+    ab[-1, :-2] = dx[1:]
+    b = np.empty_like(y)
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    if n >= 4:                   # not-a-knot
+        d = x[2] - x[0]
+        ab[1, 0], ab[0, 1] = dx[1], d
+        b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0]
+                + dxr[0] ** 2 * slope[1]) / d
+        d = x[-1] - x[-3]
+        ab[1, -1], ab[-1, -2] = dx[-2], d
+        b[-1] = (dxr[-1] ** 2 * slope[-2]
+                 + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
+    else:                        # natural: zero end curvature
+        ab[1, 0], ab[0, 1] = 2 * dx[0], dx[0]
+        b[0] = 3 * (y[1] - y[0])
+        ab[1, -1], ab[-1, -2] = 2 * dx[-1], dx[-1]
+        b[-1] = 3 * (y[-1] - y[-2])
+    s = scipy.linalg.solve_banded((1, 1), ab, b, overwrite_ab=True,
+                                  overwrite_b=True, check_finite=False)
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    return np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+
+
 class SynthesizedControl(ControlFunction):
     """Gramian-synthesized control u(t) = (product row at t)^T lam.
 
     For the general map the row is the flow-input product, for the
     minimum-energy map the chain product.  ``grid_values`` hold the exact
     pointwise formula at ``grid_ts`` (for the default grid these are the
-    quadrature samples, so they cost nothing extra).
+    quadrature samples, so they cost nothing extra); between nodes the
+    control is the cubic spline through them, kept only as its
+    coefficient array ``_coef`` (4, K-1, k), and the end cubics
+    extrapolate.
     """
 
     def __init__(self, lam: np.ndarray, anchor_time: float, map_kind: str,
@@ -85,10 +129,13 @@ class SynthesizedControl(ControlFunction):
         self.grid_ts = np.asarray(grid_ts, dtype=float)
         self.grid_values = np.asarray(grid_values, dtype=float)
         self.solve_info = solve_info
-        bc = "not-a-knot" if self.grid_ts.size >= 4 else "natural"
-        self._spline = CubicSpline(self.grid_ts, self.grid_values, axis=0,
-                                   bc_type=bc)
-        self._coef = self._spline.c       # (4, K-1, k), held without a copy
+        ts, vals = self.grid_ts, self.grid_values
+        if not (ts.ndim == 1 and 2 <= ts.size == vals.shape[0]
+                and np.isfinite(ts).all() and np.isfinite(vals).all()
+                and (np.diff(ts) > 0).all()):
+            raise ValueError("grid_ts must be 2 or more strictly increasing "
+                             "times and grid_values finite, one row each")
+        self._coef = _spline_coefficients(ts, vals)
         self._knots = self.grid_ts.tolist()  # for bisect
 
     def __call__(self, t: float) -> np.ndarray:
@@ -105,11 +152,22 @@ class SynthesizedControl(ControlFunction):
 
     def eval_many(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float).ravel()
-        vals = np.asarray(self._spline(ts), dtype=float)
-        vals = vals.reshape(ts.size, self.k)
+        grid = self.grid_ts
+        # j: last node at or before t (-1 before the span)
+        j = np.searchsorted(grid, ts, side="right") - 1
+        i = np.clip(j, 0, grid.size - 2)         # end cubics extrapolate
+        z = (ts - grid[i])[:, None]
+        z2 = z * z
+        c0, c1, vals, c3 = (row[i] for row in self._coef)   # copies
+        # ((c3 + c2 z) + c1 z^2) + c0 z^3, scipy's PPoly term order, so the
+        # values match CubicSpline bit for bit; in place, as + and * commute
+        vals *= z
+        vals += c3
+        c1 *= z2
+        vals += c1
+        c0 *= z2 * z
+        vals += c0
         # exact samples where queries hit grid nodes
-        idx = np.searchsorted(self.grid_ts, ts)
-        idx = np.clip(idx, 0, self.grid_ts.size - 1)
-        on_node = self.grid_ts[idx] == ts
-        vals[on_node] = self.grid_values[idx[on_node]]
+        on_node = grid[np.maximum(j, 0)] == ts
+        vals[on_node] = self.grid_values[j[on_node]]
         return vals

@@ -1,11 +1,15 @@
-"""Import hygiene: every name a module imports is referenced in it.
+"""Import hygiene.
 
-A plain AST scan, so it needs no linter.  Package ``__init__.py`` files
-re-export by importing, and a line marked ``# noqa: F401`` is an
-intended re-export; both are exempt.
+Every name a module imports is referenced in it: a plain AST scan, so it
+needs no linter.  Package ``__init__.py`` files re-export by importing,
+and a line marked ``# noqa: F401`` is an intended re-export; both are
+exempt.  And ``import gramsynth`` loads no scipy beyond ``scipy.linalg``'s
+own needs.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -39,3 +43,14 @@ def test_no_unused_imports():
     assert len(files) > 10
     unused = [hit for p in files for hit in _unused_imports(p)]
     assert unused == []
+
+
+def test_import_leaves_heavy_scipy_subpackages_unloaded():
+    heavy = ["scipy.interpolate", "scipy.special", "scipy.optimize",
+             "scipy.sparse"]
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+            "import gramsynth; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert res.stdout.strip() == "[]"
