@@ -55,6 +55,10 @@ def feedback_linearization_baseline(problem: SteeringProblem
     return u, control_energy(u, problem.t0, problem.T)
 
 
+# Degree and coefficient spread of the default reference control.
+REFERENCE_DEGREE, REFERENCE_SIGMA = 5, 0.2
+
+
 def _chebyshev_eval(t, coefficients, t0, T):
     s = 2.0 * (np.asarray(t, dtype=float) - t0) / (T - t0) - 1.0
     vals = np.stack([np.polynomial.chebyshev.chebval(s, c)
@@ -63,8 +67,9 @@ def _chebyshev_eval(t, coefficients, t0, T):
 
 
 def chebyshev_reference_control(k: int, span: Tuple[float, float],
-                                seed: Optional[int] = None, degree: int = 5,
-                                sigma: float = 0.2,
+                                seed: Optional[int] = None,
+                                degree: int = REFERENCE_DEGREE,
+                                sigma: float = REFERENCE_SIGMA,
                                 coefficients: Optional[np.ndarray] = None
                                 ) -> ClosedFormControl:
     """Per-channel Chebyshev-series control on [t0, T] mapped to [-1, 1].

@@ -2,8 +2,8 @@
 
 Subcommands: synthesize, scale, underactuated, baseline, reference.
 Common flags (--out, --seed, --format) override the config file; each
-setting has no other source.  Exit code 0 means the run ended on a
-successful termination criterion, 1 a failed run, 2 a config error.
+setting has no other source.  Exit code 0 means a tolerance fired, 1 a
+failed run (running out of passes included), 2 a config error.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if args.seed is not None:
         cfg.seed = args.seed
     if args.format is not None:
-        cfg.export_format = args.format
+        cfg.export["format"] = args.format
     return cfg
 
 

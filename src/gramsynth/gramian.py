@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .quadrature import QuadratureRule, simpson_rule  # noqa: F401  (re-export)
+from .quadrature import QuadratureRule
 
 # Relative least-squares residual above which a solve is flagged deficient:
 # the iterate has left the coercive feasibility set.

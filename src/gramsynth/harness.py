@@ -13,12 +13,14 @@ import csv
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import List, Optional
 
 import numpy as np
 
-from .baselines import chebyshev_reference_control, feedback_linearization_baseline
+from .baselines import (REFERENCE_DEGREE, REFERENCE_SIGMA,
+                        chebyshev_reference_control,
+                        feedback_linearization_baseline)
 from .controls import SynthesizedControl
 from .errors import ConfigError, GramsynthError
 from .flow import residual, solve_trajectory
@@ -30,49 +32,72 @@ from .systems import SteeringProblem, make_benchmark, mindy_like
 SCHEMA = "v1"
 
 
+# Every config key with its default.  The keys of the `synthesis` and
+# `solver` sections are the fields of `SynthesisConfig` and `SolverConfig`,
+# which check them and drive all five commands.
+_SECTIONS = {
+    "system": {"name": "unicycle", "params": {}},
+    "export": {"samples": 1001, "format": "csv"},
+    "scale": {"dims": [2, 8], "trials": 3},
+    "underactuated": {"d": 100, "k": 50},
+    "reference": {"simulate": True},
+}
+_TOP_LEVEL = {"synthesis": {}, "solver": {}, "seed": 0, "out_dir": "runs/out",
+              **_SECTIONS}
+
+# The horizon of the scale and underactuated networks, and the upper bound
+# of the uniformly drawn scale targets.
+HORIZON = (0.0, 1.0)
+TARGET_UPPER = 0.5
+
+
+def _filled(where: str, given: dict, defaults: dict) -> dict:
+    """``given`` over ``defaults``, each value cast to its default's type."""
+    unknown = sorted(set(given) - set(defaults))
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {unknown}")
+    return {key: type(d)(given.get(key, d)) for key, d in defaults.items()}
+
+
 @dataclass
 class ExperimentConfig:
-    """Validated experiment settings (one config file drives one command)."""
+    """Validated experiment settings in the config file's layout (one file
+    drives one command).  `from_dict` is the one place that knows each key
+    and default, and ``from_dict(echo())`` equals the config."""
 
-    system_name: str = "unicycle"
-    system_params: dict = field(default_factory=dict)
-    synthesis: SynthesisConfig = field(default_factory=SynthesisConfig)
-    seed: int = 0
-    out_dir: str = "runs/out"
-    export_samples: int = 1001
-    export_format: str = "csv"
-    scale: dict = field(default_factory=dict)
-    underactuated: dict = field(default_factory=dict)
-    reference: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
+    system: dict
+    synthesis: SynthesisConfig
+    seed: int
+    out_dir: str
+    export: dict
+    scale: dict
+    underactuated: dict
+    reference: dict
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         try:
-            solver = SolverConfig(**data.get("solver", {}))
-            synthesis = SynthesisConfig(solver=solver,
-                                        **data.get("synthesis", {}))
-            system = data.get("system", {})
-            export = data.get("export", {})
-            cfg = cls(
-                system_name=system.get("name", "unicycle"),
-                system_params=dict(system.get("params", {})),
-                synthesis=synthesis,
-                seed=int(data.get("seed", 0)),
-                out_dir=str(data.get("out_dir", "runs/out")),
-                export_samples=int(export.get("samples", 1001)),
-                export_format=str(export.get("format", "csv")),
-                scale=dict(data.get("scale", {})),
-                underactuated=dict(data.get("underactuated", {})),
-                reference=dict(data.get("reference", {})),
-                raw=data,
-            )
-        except (TypeError, ValueError) as exc:
+            top = _filled("the config", data, _TOP_LEVEL)
+            sections = {name: _filled(name, top[name], defaults)
+                        for name, defaults in _SECTIONS.items()}
+            dims = sorted(int(d) for d in sections["scale"]["dims"])
+            sections["scale"]["dims"] = dims
+            cfg = cls(synthesis=SynthesisConfig(
+                          solver=SolverConfig(**top["solver"]),
+                          **top["synthesis"]),
+                      seed=top["seed"], out_dir=top["out_dir"], **sections)
+        except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid configuration: {exc}") from exc
-        if cfg.export_format not in ("csv", "json"):
-            raise ConfigError("export.format must be 'csv' or 'json'")
-        if cfg.export_samples < 2:
-            raise ConfigError("export.samples must be >= 2")
+        ua = cfg.underactuated
+        for ok, message in (
+                (cfg.export["format"] in ("csv", "json"),
+                 "export.format must be 'csv' or 'json'"),
+                (cfg.export["samples"] >= 2, "export.samples must be >= 2"),
+                (dims and dims[0] >= 1, "scale.dims must list dimensions >= 1"),
+                (cfg.scale["trials"] >= 1, "scale.trials must be >= 1"),
+                (1 <= ua["k"] <= ua["d"], "underactuated needs 1 <= k <= d")):
+            if not ok:
+                raise ConfigError(message)
         return cfg
 
     @classmethod
@@ -85,16 +110,8 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def echo(self) -> dict:
-        out = dict(self.raw)
-        out.update({
-            "system": {"name": self.system_name,
-                       "params": _jsonable(self.system_params)},
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "export": {"samples": self.export_samples,
-                       "format": self.export_format},
-            "synthesis": _jsonable(asdict(self.synthesis)),
-        })
+        out = _jsonable(asdict(self))
+        out["solver"] = out["synthesis"].pop("solver")
         return out
 
 
@@ -128,15 +145,12 @@ class RunArtifact:
     def success(self) -> bool:
         return bool(self.status.get("success", False))
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def save(self, out_dir: Optional[str] = None) -> str:
         out = out_dir or self.config.get("out_dir", "runs/out")
         os.makedirs(out, exist_ok=True)
         path = os.path.join(out, "summary.json")
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
+            json.dump(asdict(self), fh, indent=1)
         if self.config.get("export", {}).get("format", "csv") == "csv":
             tables = dict(self.extra_tables)
             if self.telemetry:
@@ -211,7 +225,7 @@ def _steer(cfg: ExperimentConfig, problem: SteeringProblem, u):
     """Simulate u from x0: the endpoint, its distance err_end to x1, and
     the control and trajectory samples of the artifact."""
     traj = solve_trajectory(problem, u, cfg.synthesis.solver)
-    ts = np.linspace(problem.t0, problem.T, cfg.export_samples)
+    ts = np.linspace(problem.t0, problem.T, cfg.export["samples"])
     samples = {"control_samples": _samples(ts, u.eval_many(ts), "u"),
                "trajectory_samples": _samples(
                    ts, traj.solution.eval_many(ts), "x")}
@@ -221,7 +235,7 @@ def _steer(cfg: ExperimentConfig, problem: SteeringProblem, u):
 
 def run_synthesize(cfg: ExperimentConfig) -> RunArtifact:
     """One Picard synthesis run with full telemetry and sample exports."""
-    system, problem = make_benchmark(cfg.system_name, cfg.system_params)
+    system, problem = make_benchmark(cfg.system["name"], cfg.system["params"])
     try:
         u, records, status = run_picard(problem, cfg.synthesis)
     except GramsynthError as exc:
@@ -249,7 +263,7 @@ def run_synthesize(cfg: ExperimentConfig) -> RunArtifact:
 
 def run_baseline(cfg: ExperimentConfig) -> RunArtifact:
     """Feedback-linearization baseline on a fully actuated benchmark."""
-    system, problem = make_benchmark(cfg.system_name, cfg.system_params)
+    system, problem = make_benchmark(cfg.system["name"], cfg.system["params"])
     try:
         u, energy = feedback_linearization_baseline(problem)
     except GramsynthError as exc:
@@ -267,21 +281,19 @@ def run_baseline(cfg: ExperimentConfig) -> RunArtifact:
 
 def run_reference(cfg: ExperimentConfig) -> RunArtifact:
     """Seeded Chebyshev reference control, optionally simulated forward."""
-    section = dict(cfg.reference)
-    system, problem = make_benchmark(cfg.system_name, cfg.system_params)
-    degree = int(section.get("degree", 5))
-    sigma = float(section.get("sigma", 0.2))
+    system, problem = make_benchmark(cfg.system["name"], cfg.system["params"])
     u = chebyshev_reference_control(system.k, (problem.t0, problem.T),
-                                    seed=cfg.seed, degree=degree, sigma=sigma)
-    summary = {"system": system.name, "k": system.k, "degree": degree,
-               "sigma": sigma, "seed": cfg.seed,
+                                    seed=cfg.seed)
+    summary = {"system": system.name, "k": system.k,
+               "degree": REFERENCE_DEGREE, "sigma": REFERENCE_SIGMA,
+               "seed": cfg.seed,
                "coefficients": _jsonable(u.coefficients),
                **_energy_fields(control_energy(u, problem.t0, problem.T))}
-    if section.get("simulate", True):
+    if cfg.reference["simulate"]:
         endpoint, _, samples = _steer(cfg, problem, u)
         summary["endpoint"] = _jsonable(endpoint)
     else:
-        ts = np.linspace(problem.t0, problem.T, cfg.export_samples)
+        ts = np.linspace(problem.t0, problem.T, cfg.export["samples"])
         samples = {"control_samples": _samples(ts, u.eval_many(ts), "u")}
     return RunArtifact(command="reference", config=cfg.echo(),
                        status=_status(RunStatus("reference", 0, True), True),
@@ -299,37 +311,28 @@ def run_scale(cfg: ExperimentConfig) -> RunArtifact:
 
     Each trial builds a fresh fully actuated surrogate network, steers from
     the resting equilibrium to a uniformly sampled target, and records the
-    amortized per-iteration wall time.  Trial failures are recorded and the
-    sweep continues.
+    amortized per-iteration wall time.  A trial is ok when its
+    `RunStatus.success` is; failures are recorded and the sweep continues.
     """
-    section = dict(cfg.scale)
-    dims = sorted(int(d) for d in section.get("dims", [2, 8]))
-    trials = int(section.get("trials", 3))
-    t0 = float(section.get("t0", 0.0))
-    T = float(section.get("T", 1.0))
-    target_upper = float(section.get("target_upper", 0.5))
-    if trials < 1:
-        raise ConfigError("scale.trials must be >= 1")
-    syn = replace(cfg.synthesis,
-                  n_max=int(section.get("n_max", cfg.synthesis.n_max)),
-                  eps_x=float(section.get("eps_x", 1e-6)))
-
-    rows = []
+    dims, trials = cfg.scale["dims"], cfg.scale["trials"]
+    rows, ok_dims = [], []
     for d in dims:
         for trial in range(trials):
             sys_seed, target_seed = _derived_seeds(cfg.seed, d, trial)
             system = mindy_like(d, d, sys_seed)
-            x1 = np.random.default_rng(target_seed).uniform(0.0, target_upper,
+            x1 = np.random.default_rng(target_seed).uniform(0.0, TARGET_UPPER,
                                                             size=d)
-            problem = SteeringProblem(system, np.zeros(d), x1, t0, T)
+            problem = SteeringProblem(system, np.zeros(d), x1, *HORIZON)
             row = {"d": d, "trial": trial, "sys_seed": sys_seed,
                    "target_seed": target_seed}
             tic = time.perf_counter()
             try:
-                _, records, status = run_picard(problem, syn)
+                _, records, status = run_picard(problem, cfg.synthesis)
                 row.update(status=status.criterion,
                            iterations=status.iterations,
                            err_end=records[-1].err_end)
+                if status.success:
+                    ok_dims.append(d)
             except GramsynthError as exc:
                 row.update(status=f"error:{type(exc).__name__}",
                            iterations=0, err_end=float("nan"))
@@ -345,53 +348,44 @@ def run_scale(cfg: ExperimentConfig) -> RunArtifact:
         times = np.array([r["time_per_iteration"] for r in sub] or [np.nan])
         errs = np.array([r["err_end"] for r in sub] or [np.nan])
         aggregates.append({
-            "d": d, "trials_ok": len(sub),
+            "d": d, "trials_ok": ok_dims.count(d),
             "time_per_iteration_mean": float(times.mean()),
             "time_per_iteration_std": float(times.std()),
             "err_end_max": float(errs.max())})
 
-    n_ok = sum(r["iterations"] > 0 for r in rows)
     return RunArtifact(
         command="scale", config=cfg.echo(),
         status=_status(RunStatus("scale", len(rows), True,
-                                 f"{n_ok}/{len(rows)} trials ok"),
-                       n_ok == len(rows)),
+                                 f"{len(ok_dims)}/{len(rows)} trials ok"),
+                       len(ok_dims) == len(rows)),
         telemetry=[],
-        summary={"dims": dims, "trials": trials, "horizon": [t0, T],
-                 "target_upper": target_upper, "aggregates": aggregates},
+        summary={"dims": dims, "trials": trials, "horizon": list(HORIZON),
+                 "target_upper": TARGET_UPPER, "aggregates": aggregates},
         extra_tables={"scale": _table(rows),
                       "scale_aggregates": _table(aggregates)})
 
 
 def run_underactuated(cfg: ExperimentConfig) -> RunArtifact:
-    """Underactuated surrogate-network demo via minimum-energy synthesis.
+    """Underactuated surrogate-network demo.
 
     The target is manufactured by forward simulation under a seeded
     Chebyshev reference control, so it is reachable by construction; the
     run then checks that the synthesized control undercuts the reference
     control's energy.
     """
-    section = dict(cfg.underactuated)
-    d = int(section.get("d", 100))
-    k = int(section.get("k", 50))
-    t0 = float(section.get("t0", 0.0))
-    T = float(section.get("T", 1.0))
-    degree = int(section.get("degree", 5))
-    sigma = float(section.get("sigma", 0.2))
+    d, k = cfg.underactuated["d"], cfg.underactuated["k"]
+    t0, T = HORIZON
     sys_seed, x0_seed, ref_seed = _derived_seeds(cfg.seed, d, k, n=3)
 
     system = mindy_like(d, k, sys_seed)
     x0 = np.random.default_rng(x0_seed).standard_normal(d)
-    u_ref = chebyshev_reference_control(k, (t0, T), seed=ref_seed,
-                                        degree=degree, sigma=sigma)
+    u_ref = chebyshev_reference_control(k, HORIZON, seed=ref_seed)
     probe = SteeringProblem(system, x0, np.zeros(d), t0, T)
     x1 = solve_trajectory(probe, u_ref, cfg.synthesis.solver).endpoint
     problem = SteeringProblem(system, x0, x1, t0, T)
 
-    syn = replace(cfg.synthesis, map_kind="minimum_energy",
-                  n_max=int(section.get("n_max", 50)))
     try:
-        u, records, status = run_picard(problem, syn)
+        u, records, status = run_picard(problem, cfg.synthesis)
     except GramsynthError as exc:
         return _failed("underactuated", cfg, exc)
 
@@ -403,9 +397,9 @@ def run_underactuated(cfg: ExperimentConfig) -> RunArtifact:
     reduced = E_synth < E_ref
 
     _, err_end, samples = _steer(cfg, problem, u)
-    ts = np.linspace(t0, T, cfg.export_samples)
+    ts = np.linspace(t0, T, cfg.export["samples"])
     summary = {
-        "system": system.name, "d": d, "k": k, "horizon": [t0, T],
+        "system": system.name, "d": d, "k": k, "horizon": list(HORIZON),
         "seeds": {"system": sys_seed, "x0": x0_seed, "reference": ref_seed},
         "iterations": status.iterations, "err_end": err_end,
         "energy_synthesized": E_synth, "energy_reference": E_ref,

@@ -23,10 +23,9 @@ from .flow import (Trajectory, chain_input_products, flow_input_products,
                    residual, solve_trajectory)
 from .gramian import (DEFICIENCY_TOL, GramianMatrix,
                       assemble_mixed_from_samples,
-                      assemble_symmetric_from_samples, simpson_rule,
-                      solve_gramian)
+                      assemble_symmetric_from_samples, solve_gramian)
 from .ode import SolverConfig
-from .quadrature import default_node_count
+from .quadrature import default_node_count, simpson_rule
 
 MAP_KINDS = ("general", "minimum_energy")
 
@@ -98,9 +97,9 @@ class RunStatus:
 
     @property
     def success(self) -> bool:
+        """A tolerance fired; running out of passes is not success."""
         return self.criterion in ("endpoint_tolerance",
-                                  "control_update_tolerance",
-                                  "max_iterations")
+                                  "control_update_tolerance")
 
 
 def _finish_control(tau, kind, rule, samples, solve_info):

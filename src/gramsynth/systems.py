@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NonFiniteValue, UnknownSystem
+from .errors import ConfigError, NonFiniteValue, UnknownSystem
 from .ode import OdeProblem, SolverConfig, integrate
 
 Field = Callable[[float, np.ndarray], np.ndarray]
@@ -362,8 +362,8 @@ _CATALOG = {
 def make_benchmark(name: str, params: Optional[dict] = None):
     """Benchmark system plus its boundary-value setup.
 
-    ``params`` may override boundary data (x0, x1, t0, T, anchor) for any
-    system, and supplies (d, k, seed) for ``mindy_like``.
+    ``params`` may override boundary data (x0, x1, t0, T, anchor) and, for
+    ``mindy_like``, set (d, k, seed); any other key raises `ConfigError`.
 
     Returns (ControlAffineSystem, SteeringProblem).
     """
@@ -419,7 +419,9 @@ def make_benchmark(name: str, params: Optional[dict] = None):
         system = mindy_like(d, k, seed)
         bounds = dict(x0=np.ones(d), x1=-0.5 * np.ones(d), t0=0.0, T=3.0)
 
-    bounds.update({key: p[key] for key in ("x0", "x1", "t0", "T", "anchor")
-                   if key in p})
+    unknown = sorted(set(p) - {"x0", "x1", "t0", "T", "anchor"})
+    if unknown:
+        raise ConfigError(f"unknown params for {name}: {unknown}")
+    bounds.update(p)
     problem = SteeringProblem(system=system, **bounds)
     return system, problem

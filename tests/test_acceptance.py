@@ -327,10 +327,9 @@ def test_c9_scalability_and_underactuated(tmp_path):
     tic = time.perf_counter()
     scale_cfg = ExperimentConfig.from_dict({
         "system": {"name": "mindy_like"},
-        "scale": {"dims": [64], "trials": 1, "t0": 0.0, "T": 1.0,
-                  "n_max": 10, "eps_x": 1e-6, "target_upper": 0.5},
-        "synthesis": {"map_kind": "general", "quadrature_points": 5001,
-                      "regularization": 1e-6},
+        "scale": {"dims": [64], "trials": 1},
+        "synthesis": {"map_kind": "general", "n_max": 10, "eps_x": 1e-6,
+                      "quadrature_points": 5001, "regularization": 1e-6},
         "solver": {"rtol": 1e-8, "atol": 1e-10},
         "seed": 17,
         "out_dir": str(tmp_path / "scale64"),
@@ -344,9 +343,8 @@ def test_c9_scalability_and_underactuated(tmp_path):
 
     ua_cfg = ExperimentConfig.from_dict({
         "system": {"name": "mindy_like"},
-        "underactuated": {"d": 24, "k": 12, "T": 1.0, "n_max": 50,
-                          "degree": 5, "sigma": 0.2},
-        "synthesis": {"map_kind": "minimum_energy",
+        "underactuated": {"d": 24, "k": 12},
+        "synthesis": {"map_kind": "minimum_energy", "n_max": 50,
                       "quadrature_points": 201},
         "solver": {"rtol": 1e-7, "atol": 1e-7},
         "seed": 5,

@@ -3,6 +3,7 @@
 import copy
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +47,31 @@ def test_config_validation_errors():
         ExperimentConfig.from_dict({"synthesis": {"unknown_option": 1}})
     with pytest.raises(ConfigError):   # the anchor is set on the problem
         ExperimentConfig.from_dict({"synthesis": {"anchor": 1}})
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict({"sede": 1})
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(["seed"])
+    for section in ("system", "export", "scale", "underactuated",
+                    "reference"):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict({section: {"typo": 1}})
+    with pytest.raises(ConfigError):   # synthesis.n_max drives every command
+        ExperimentConfig.from_dict({"scale": {"n_max": 10}})
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict({"underactuated": {"d": 4, "k": 5}})
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict({"scale": {"trials": 0}})
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict({"scale": {"dims": [0]}})
+
+
+@pytest.mark.parametrize("path", sorted(
+    (Path(__file__).resolve().parents[1] / "configs").glob("*.json")),
+    ids=lambda p: p.name)
+def test_shipped_config_echo_loads_back(path):
+    cfg = ExperimentConfig.from_json(str(path))
+    echo = json.loads(json.dumps(cfg.echo()))
+    assert ExperimentConfig.from_dict(echo) == cfg
 
 
 def test_config_missing_file():
@@ -151,7 +177,7 @@ def test_baseline_not_fully_actuated(tmp_path):
 def test_reference_artifact_and_determinism(tmp_path):
     base = {
         "system": {"name": "unicycle"},
-        "reference": {"degree": 5, "sigma": 0.2, "simulate": True},
+        "reference": {"simulate": True},
         "solver": {"rtol": 1e-7, "atol": 1e-9},
         "seed": 42,
         "export": {"samples": 51},
@@ -168,7 +194,7 @@ def test_reference_artifact_and_determinism(tmp_path):
 def test_reference_without_simulation(tmp_path):
     base = {
         "system": {"name": "unicycle"},
-        "reference": {"degree": 5, "sigma": 0.2, "simulate": False},
+        "reference": {"simulate": False},
         "seed": 42,
         "export": {"samples": 51},
     }
@@ -200,9 +226,8 @@ def test_synthesize_certificate_with_anchor_override(tmp_path):
 def test_scale_run_structure_and_determinism(tmp_path):
     base = {
         "system": {"name": "mindy_like"},
-        "scale": {"dims": [2, 3], "trials": 2, "T": 1.0, "n_max": 6,
-                  "eps_x": 1e-5},
-        "synthesis": {"quadrature_points": 51},
+        "scale": {"dims": [2, 3], "trials": 2},
+        "synthesis": {"n_max": 6, "eps_x": 1e-5, "quadrature_points": 51},
         "solver": {"rtol": 1e-7, "atol": 1e-9},
         "seed": 17,
     }
@@ -227,9 +252,9 @@ def test_underactuated_small_surrogate(tmp_path):
     # undercut the reference control that manufactured the target
     base = {
         "system": {"name": "mindy_like"},
-        "underactuated": {"d": 24, "k": 12, "T": 1.0, "n_max": 15,
-                          "degree": 5, "sigma": 0.2},
-        "synthesis": {"quadrature_points": 201},
+        "underactuated": {"d": 24, "k": 12},
+        "synthesis": {"map_kind": "minimum_energy", "n_max": 15,
+                      "quadrature_points": 201},
         "solver": {"rtol": 1e-7, "atol": 1e-7},
         "seed": 23,
         "export": {"samples": 51},
@@ -268,6 +293,8 @@ def test_cli_exit_codes(tmp_path, capsys):
     data["synthesis"]["anchor"] = 1
     bad_path.write_text(json.dumps(data))
     assert cli_main(["synthesize", str(bad_path)]) == 2
+    bad_path.write_text(json.dumps({"scale": {"n_maxx": 10}}))
+    assert cli_main(["scale", str(bad_path)]) == 2
 
     # json format suppresses csv exports
     assert cli_main(["synthesize", str(cfg_path), "--format", "json",
@@ -288,8 +315,8 @@ def test_cli_failure_exit_code(tmp_path):
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(data))
-    # n_max termination is still a successful criterion per the contract
-    assert cli_main(["synthesize", str(cfg_path)]) == 0
+    # running out of passes is not success
+    assert cli_main(["synthesize", str(cfg_path)]) == 1
 
 
 def test_config_echo_records_overrides(tmp_path):
@@ -298,3 +325,4 @@ def test_config_echo_records_overrides(tmp_path):
     assert art.config["seed"] == 7
     assert art.config["out_dir"] == str(tmp_path / "out")
     assert art.config["synthesis"]["quadrature_points"] == 101
+    assert ExperimentConfig.from_dict(art.config) == cfg

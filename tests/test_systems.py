@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from gramsynth import (SteeringProblem, UnknownSystem, drift_flow,
+from gramsynth import (ConfigError, SteeringProblem, UnknownSystem, drift_flow,
                        jacobian_fd, linear_system, make_benchmark, mindy_like)
 
 DESK_SYSTEMS = ["unicycle", "pendulum", "sir", "spacecraft",
@@ -161,6 +161,15 @@ def test_benchmark_overrides_and_unknown():
     assert p.T == 5.0 and p.anchor == 1
     with pytest.raises(UnknownSystem):
         make_benchmark("double_pendulum")
+
+
+def test_benchmark_rejects_unread_params():
+    with pytest.raises(ConfigError):
+        make_benchmark("unicycle", params={"x_0": [0.0, 0.0, 0.0]})
+    with pytest.raises(ConfigError):   # (d, k, seed) belong to mindy_like
+        make_benchmark("pendulum", params={"d": 2})
+    system, _ = make_benchmark("mindy_like", params={"d": 3, "seed": 1})
+    assert (system.d, system.k) == (3, 3)
 
 
 def test_drift_flow_driftless_identity(tight_solver):
