@@ -22,12 +22,13 @@ config = SynthesisConfig(
     quadrature_points=401,
     solver=SolverConfig(rtol=1e-8, atol=1e-10),
 )
-u, records, status = run_picard(problem, config)
+result = run_picard(problem, config)
+u, status = result.control, result.status
 
 print(f"\nterminated: {status.criterion} after {status.iterations} passes "
       f"(initial Gramian invertible: {status.initial_gramian_ok})")
 print(f"{'n':>3s} {'err_end':>12s} {'err_fp':>12s} {'||u||_2':>10s}")
-for r in records:
+for r in result.records:
     print(f"{r.n:3d} {r.err_end:12.3e} {r.err_fp:12.3e} "
           f"{np.sqrt(r.energy_sq_norm):10.6f}")
 

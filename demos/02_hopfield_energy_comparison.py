@@ -20,13 +20,14 @@ results = {}
 for map_kind in ("general", "minimum_energy"):
     config = SynthesisConfig(map_kind=map_kind, n_max=25, eps_x=1e-10,
                              eps_u=1e-10, quadrature_points=201, solver=solver)
-    u, records, status = run_picard(problem, config)
+    result = run_picard(problem, config)
+    u = result.control
     traj = solve_trajectory(problem, u, solver)
     results[map_kind] = {
         "u": u,
         "err": np.linalg.norm(traj.endpoint - problem.x1),
         "norm": np.sqrt(2 * control_energy(u, problem.t0, problem.T)),
-        "iters": status.iterations,
+        "iters": result.status.iterations,
     }
 
 u_fl, E_fl = feedback_linearization_baseline(problem)

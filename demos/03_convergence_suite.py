@@ -19,8 +19,9 @@ for name in SYSTEMS:
     config = SynthesisConfig(map_kind="general", n_max=20, eps_x=1e-12,
                              eps_u=1e-12, solver=solver,
                              quadrature_points=201)
-    u, records, status = run_picard(problem, config)
-    histories[name] = [r.err_end for r in records]
+    result = run_picard(problem, config)
+    status = result.status
+    histories[name] = [r.err_end for r in result.records]
     print(f"{name:18s} d={system.d} k={system.k}: "
           f"{status.criterion}@{status.iterations}, "
           f"floor={min(histories[name]):.2e}")

@@ -18,10 +18,11 @@ solver = SolverConfig(rtol=1e-10, atol=1e-12)
 config = SynthesisConfig(map_kind="general", n_max=15, eps_x=1e-10,
                          eps_u=1e-10, quadrature_points=201, solver=solver)
 
-u, records, status = run_picard(problem, config)
-traj = solve_trajectory(problem, u, solver)
+result = run_picard(problem, config)
+traj = solve_trajectory(problem, result.control, solver)
+status = result.status
 print(f"pendulum synthesis: {status.criterion}@{status.iterations}, "
-      f"err_end={records[-1].err_end:.2e}")
+      f"err_end={result.records[-1].err_end:.2e}")
 
 nodes = 201
 indices = np.arange(20, nodes - 1, 20)

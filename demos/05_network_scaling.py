@@ -31,10 +31,11 @@ for d in DIMS:
         config = SynthesisConfig(map_kind="general", n_max=10, eps_x=1e-6,
                                  quadrature_points=201, solver=solver)
         tic = time.perf_counter()
-        u, records, status = run_picard(problem, config)
+        result = run_picard(problem, config)
         wall = time.perf_counter() - tic
+        status = result.status
         per_iter.append(wall / status.iterations)
         print(f"{d:4d} {trial:6d} {status.iterations:6d} "
-              f"{records[-1].err_end:12.3e} {per_iter[-1]:8.3f}")
+              f"{result.records[-1].err_end:12.3e} {per_iter[-1]:8.3f}")
     print(f"{d:4d}   mean{'':>14s} {np.mean(per_iter):20.3f}"
           f"  (std {np.std(per_iter):.3f})")

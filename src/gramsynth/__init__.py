@@ -15,8 +15,7 @@ from .errors import (ConfigError, GramsynthError, InvalidQuadrature,
                      OutOfSpan, PicardDiverged, SingularGramian,
                      StepLimitExceeded, UnknownSystem)
 from .flow import (Trajectory, chain_input_products, flow_conjugate_profile,
-                   flow_input_product, flow_input_products, residual,
-                   solve_trajectory)
+                   flow_input_products, residual, solve_trajectory)
 from .gramian import (GramianMatrix, GramianSolve,
                       assemble_mixed_from_samples,
                       assemble_symmetric_from_samples, solve_gramian)
@@ -25,10 +24,10 @@ from .harness import (ExperimentConfig, RunArtifact, run_baseline,
                       run_underactuated)
 from .ode import (DenseSolution, OdeProblem, SolverConfig, adapt_step,
                   integrate)
-from .picard import (IterationRecord, RunStatus, SynthesisConfig,
-                     apply_general_map, apply_minimum_energy_map,
-                     control_energy, endpoint_error, energy_certificate,
-                     fixed_point_error, run_picard)
+from .picard import (IterationRecord, PicardResult, RunStatus,
+                     SynthesisConfig, apply_map, control_energy,
+                     endpoint_error, energy_certificate, fixed_point_error,
+                     run_picard)
 from .quadrature import (QuadratureRule, cumulative_simpson,
                          default_node_count, simpson_rule)
 from .systems import (ControlAffineSystem, SteeringProblem, drift_flow,
@@ -38,23 +37,21 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClosedFormControl", "ConfigError", "ControlAffineSystem",
-    "ControlFunction", "DenseSolution", "ExperimentConfig",
-    "GramianMatrix", "GramianSolve", "GramsynthError", "InvalidQuadrature",
-    "IterationRecord", "NonFiniteState", "NonFiniteValue",
-    "NotFullyActuated", "OdeProblem", "OutOfSpan", "PicardDiverged",
-    "QuadratureRule", "RunArtifact", "RunStatus", "SingularGramian",
-    "SolverConfig", "SteeringProblem", "StepLimitExceeded",
-    "SynthesisConfig", "SynthesizedControl", "Trajectory", "UnknownSystem",
-    "ZeroControl", "adapt_step", "apply_general_map",
-    "apply_minimum_energy_map", "assemble_mixed_from_samples",
+    "ControlFunction", "DenseSolution", "ExperimentConfig", "GramianMatrix",
+    "GramianSolve", "GramsynthError", "InvalidQuadrature", "IterationRecord",
+    "NonFiniteState", "NonFiniteValue", "NotFullyActuated", "OdeProblem",
+    "OutOfSpan", "PicardDiverged", "PicardResult", "QuadratureRule",
+    "RunArtifact", "RunStatus", "SingularGramian", "SolverConfig",
+    "SteeringProblem", "StepLimitExceeded", "SynthesisConfig",
+    "SynthesizedControl", "Trajectory", "UnknownSystem", "ZeroControl",
+    "adapt_step", "apply_map", "assemble_mixed_from_samples",
     "assemble_symmetric_from_samples", "chain_input_products",
     "chebyshev_reference_control", "control_energy", "cumulative_simpson",
     "default_node_count", "drift_flow", "endpoint_error",
     "energy_certificate", "feedback_linearization_baseline",
-    "fixed_point_error", "flow_conjugate_profile", "flow_input_product",
-    "flow_input_products", "integrate", "jacobian_fd", "linear_system",
-    "make_benchmark", "mindy_like", "residual", "run_baseline",
-    "run_picard", "run_reference", "run_scale", "run_synthesize",
-    "run_underactuated", "simpson_rule", "solve_gramian",
-    "solve_trajectory",
+    "fixed_point_error", "flow_conjugate_profile", "flow_input_products",
+    "integrate", "jacobian_fd", "linear_system", "make_benchmark",
+    "mindy_like", "residual", "run_baseline", "run_picard", "run_reference",
+    "run_scale", "run_synthesize", "run_underactuated", "simpson_rule",
+    "solve_gramian", "solve_trajectory",
 ]

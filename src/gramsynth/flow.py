@@ -115,12 +115,6 @@ def _drift_variational(system, t_from, t_to, y0, Y0, config):
     return sol.ys[-1][:, d:].reshape(B, d, m)
 
 
-def flow_input_product(traj: Trajectory, t: float, tau: float,
-                       config: SolverConfig = SolverConfig()) -> np.ndarray:
-    """D Phi_{t,tau}(x_u(t)) B_t(x_u(t)) via the coupled variational system."""
-    return flow_input_products(traj, [t], tau, config)[0]
-
-
 def _chunks(ts, d, k):
     """Consecutive slices of ts, each of _BATCH_ELEMENTS // (d + d*k)."""
     chunk = max(1, _BATCH_ELEMENTS // (d + d * k))

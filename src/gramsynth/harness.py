@@ -23,7 +23,7 @@ from .baselines import (REFERENCE_DEGREE, REFERENCE_SIGMA,
                         feedback_linearization_baseline)
 from .controls import SynthesizedControl
 from .errors import ConfigError, GramsynthError
-from .flow import residual, solve_trajectory
+from .flow import solve_trajectory
 from .ode import SolverConfig
 from .picard import (RunStatus, SynthesisConfig, control_energy,
                      energy_certificate, run_picard)
@@ -221,10 +221,11 @@ def _samples(ts, values, key: str) -> dict:
     return {"t": ts.tolist(), key: _jsonable(values)}
 
 
-def _steer(cfg: ExperimentConfig, problem: SteeringProblem, u):
-    """Simulate u from x0: the endpoint, its distance err_end to x1, and
-    the control and trajectory samples of the artifact."""
-    traj = solve_trajectory(problem, u, cfg.synthesis.solver)
+def _steer(cfg: ExperimentConfig, problem: SteeringProblem, u, traj=None):
+    """The endpoint of u (simulated unless its trajectory is given), its
+    distance err_end to x1, and the artifact's control and state samples."""
+    if traj is None:
+        traj = solve_trajectory(problem, u, cfg.synthesis.solver)
     ts = np.linspace(problem.t0, problem.T, cfg.export["samples"])
     samples = {"control_samples": _samples(ts, u.eval_many(ts), "u"),
                "trajectory_samples": _samples(
@@ -237,28 +238,29 @@ def run_synthesize(cfg: ExperimentConfig) -> RunArtifact:
     """One Picard synthesis run with full telemetry and sample exports."""
     system, problem = make_benchmark(cfg.system["name"], cfg.system["params"])
     try:
-        u, records, status = run_picard(problem, cfg.synthesis)
+        result = run_picard(problem, cfg.synthesis)
     except GramsynthError as exc:
         return _failed("synthesize", cfg, exc)
-    _, err_end, samples = _steer(cfg, problem, u)
+    u, status = result.control, result.status
+    _, err_end, samples = _steer(cfg, problem, u, result.trajectory)
     energy = control_energy(u, problem.t0, problem.T)
     summary = {
         "system": system.name, "d": system.d, "k": system.k,
         "map_kind": cfg.synthesis.map_kind, "anchor": problem.anchor,
         "iterations": status.iterations, "err_end": err_end,
         **_energy_fields(energy),
-        "wall_time_total": float(sum(r.wall_time for r in records)),
+        "wall_time_total": float(sum(r.wall_time for r in result.records)),
     }
     if isinstance(u, SynthesizedControl) and cfg.synthesis.map_kind == "general":
-        cert = energy_certificate(residual(problem, cfg.synthesis.solver),
-                                  u.lam)
+        cert = energy_certificate(result.residual, u.lam)
         summary["energy_certificate"] = cert
         summary["certificate_rel_gap"] = (abs(cert - energy) / energy
                                           if energy > 0 else 0.0)
     return RunArtifact(
         command="synthesize", config=cfg.echo(),
         status=_status(status),
-        telemetry=[asdict(r) for r in records], summary=summary, **samples)
+        telemetry=[asdict(r) for r in result.records], summary=summary,
+        **samples)
 
 
 def run_baseline(cfg: ExperimentConfig) -> RunArtifact:
@@ -301,6 +303,13 @@ def run_reference(cfg: ExperimentConfig) -> RunArtifact:
                        summary=summary, **samples)
 
 
+def _no_system_section(cfg: ExperimentConfig, command: str) -> None:
+    """Reject the system section, which ``command`` would ignore."""
+    if cfg.system != _SECTIONS["system"]:
+        raise ConfigError(f"{command} builds its own mindy_like networks "
+                          "and takes no system section")
+
+
 def _derived_seeds(root: int, *tags: int, n: int = 2):
     ss = np.random.SeedSequence([int(root), *map(int, tags)])
     return [int(s) for s in ss.generate_state(n)]
@@ -314,6 +323,7 @@ def run_scale(cfg: ExperimentConfig) -> RunArtifact:
     amortized per-iteration wall time.  A trial is ok when its
     `RunStatus.success` is; failures are recorded and the sweep continues.
     """
+    _no_system_section(cfg, "scale")
     dims, trials = cfg.scale["dims"], cfg.scale["trials"]
     rows, ok_dims = [], []
     for d in dims:
@@ -327,11 +337,11 @@ def run_scale(cfg: ExperimentConfig) -> RunArtifact:
                    "target_seed": target_seed}
             tic = time.perf_counter()
             try:
-                _, records, status = run_picard(problem, cfg.synthesis)
-                row.update(status=status.criterion,
-                           iterations=status.iterations,
-                           err_end=records[-1].err_end)
-                if status.success:
+                result = run_picard(problem, cfg.synthesis)
+                row.update(status=result.status.criterion,
+                           iterations=result.status.iterations,
+                           err_end=result.records[-1].err_end)
+                if result.status.success:
                     ok_dims.append(d)
             except GramsynthError as exc:
                 row.update(status=f"error:{type(exc).__name__}",
@@ -373,6 +383,7 @@ def run_underactuated(cfg: ExperimentConfig) -> RunArtifact:
     run then checks that the synthesized control undercuts the reference
     control's energy.
     """
+    _no_system_section(cfg, "underactuated")
     d, k = cfg.underactuated["d"], cfg.underactuated["k"]
     t0, T = HORIZON
     sys_seed, x0_seed, ref_seed = _derived_seeds(cfg.seed, d, k, n=3)
@@ -385,18 +396,19 @@ def run_underactuated(cfg: ExperimentConfig) -> RunArtifact:
     problem = SteeringProblem(system, x0, x1, t0, T)
 
     try:
-        u, records, status = run_picard(problem, cfg.synthesis)
+        result = run_picard(problem, cfg.synthesis)
     except GramsynthError as exc:
         return _failed("underactuated", cfg, exc)
+    u, status = result.control, result.status
 
     E_synth = control_energy(u, t0, T)
     E_ref = control_energy(u_ref, t0, T)
-    errs = [r.err_end for r in records]
+    errs = [r.err_end for r in result.records]
     monotone_ok = all(errs[i + 1] <= 2.0 * errs[i]
                       for i in range(len(errs) - 1)) and errs[-1] < errs[0]
     reduced = E_synth < E_ref
 
-    _, err_end, samples = _steer(cfg, problem, u)
+    _, err_end, samples = _steer(cfg, problem, u, result.trajectory)
     ts = np.linspace(t0, T, cfg.export["samples"])
     summary = {
         "system": system.name, "d": d, "k": k, "horizon": list(HORIZON),
@@ -411,7 +423,7 @@ def run_underactuated(cfg: ExperimentConfig) -> RunArtifact:
     return RunArtifact(
         command="underactuated", config=cfg.echo(),
         status=_status(status, status.success and reduced),
-        telemetry=[asdict(r) for r in records], summary=summary,
+        telemetry=[asdict(r) for r in result.records], summary=summary,
         extra_tables={"reference_control": _sample_table(
             ts, u_ref.eval_many(ts), "u")},
         **samples)

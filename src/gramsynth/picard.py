@@ -1,12 +1,12 @@
 """The two Gramian synthesis maps and their Picard iteration.
 
-Each map application runs the same five-step pass: solve the state
-equation, sample the Jacobian-input products at the quadrature nodes,
-assemble the Gramian, solve for the multiplier, and form the updated
-control pointwise from the product rows.  `run_picard` iterates the
-selected map, records per-iteration telemetry, and stops on any of the
-three termination criteria (iteration budget, endpoint tolerance,
-control-update tolerance).
+`apply_map` applies the map named by ``SynthesisConfig.map_kind`` in one
+pass: solve the state equation, sample the Jacobian-input products at the
+quadrature nodes, assemble the Gramian, solve for the multiplier, and form
+the updated control pointwise from the product rows.  `run_picard` iterates
+it, records per-pass telemetry, stops on the iteration budget, endpoint
+tolerance or control-update tolerance, and returns a `PicardResult` that
+keeps the residual and, if solved, the returned control's trajectory.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from .controls import ControlFunction, SynthesizedControl, ZeroControl
 from .errors import PicardDiverged, SingularGramian
 from .flow import (Trajectory, chain_input_products, flow_input_products,
                    residual, solve_trajectory)
-from .gramian import (DEFICIENCY_TOL, GramianMatrix,
-                      assemble_mixed_from_samples,
+from .gramian import (DEFICIENCY_TOL, assemble_mixed_from_samples,
                       assemble_symmetric_from_samples, solve_gramian)
 from .ode import SolverConfig
 from .quadrature import default_node_count, simpson_rule
@@ -102,52 +101,49 @@ class RunStatus:
                                   "control_update_tolerance")
 
 
-def _finish_control(tau, kind, rule, samples, solve_info):
-    """The synthesized control, sampled at the quadrature nodes."""
-    lam = solve_info.lam
-    return SynthesizedControl(
-        lam=lam, anchor_time=tau, map_kind=kind, grid_ts=rule.nodes,
-        grid_values=np.einsum("kim,i->km", samples, lam),
-        solve_info=solve_info)
+@dataclass(frozen=True)
+class PicardResult:
+    """The outcome of `run_picard`.
+
+    ``residual`` is the run's y; ``trajectory`` is the trajectory of
+    ``control`` when the last pass solved it (an endpoint-tolerance stop),
+    else None.  Unpacking yields ``(control, records, status)``.
+    """
+
+    control: ControlFunction
+    records: List[IterationRecord]
+    status: RunStatus
+    residual: np.ndarray
+    trajectory: Optional[Trajectory]
+
+    def __iter__(self):
+        return iter((self.control, self.records, self.status))
 
 
-def _apply_map(kind, problem, u, config, y):
-    """One application of map ``kind`` to u, with the residual y given."""
+def apply_map(problem, u: ControlFunction, config: SynthesisConfig,
+              y: np.ndarray) -> Tuple[SynthesizedControl, Trajectory]:
+    """One application of the ``config.map_kind`` map to u, with the
+    problem's residual y given: the updated control, sampled at the
+    quadrature nodes, and the trajectory of u.
+
+    A rank-deficient Gramian does not raise; ``solve_info`` flags it.
+    """
     d = problem.system.d
     tau = problem.anchor_time
     traj = solve_trajectory(problem, u, config.solver)
     rule = simpson_rule(problem.t0, problem.T, config.resolved_points(d))
     D = flow_input_products(traj, rule.nodes, tau, config.solver)
-    if kind == "general":
+    if config.map_kind == "general":
         rows = D
         gram = assemble_symmetric_from_samples(D, rule)
     else:
         rows = chain_input_products(traj, u, rule.nodes, tau, config.solver)
         gram = assemble_mixed_from_samples(D, rows, rule)
     sol = solve_gramian(gram, y, reg=config.resolved_regularization(d))
-    return _finish_control(tau, kind, rule, rows, sol), traj, gram
-
-
-def apply_general_map(problem, u: ControlFunction,
-                      config: SynthesisConfig = SynthesisConfig()
-                      ) -> Tuple[ControlFunction, Trajectory, GramianMatrix]:
-    """One application of the symmetric-Gramian steering map.
-
-    A rank-deficient Gramian does not raise; ``u.solve_info`` flags it.
-    """
-    return _apply_map("general", problem, u, config,
-                      residual(problem, config.solver))
-
-
-def apply_minimum_energy_map(problem, u: ControlFunction,
-                             config: SynthesisConfig = SynthesisConfig()
-                             ) -> Tuple[ControlFunction, Trajectory, GramianMatrix]:
-    """One application of the Lagrange-multiplier (mixed-Gramian) map.
-
-    A rank-deficient Gramian does not raise; ``u.solve_info`` flags it.
-    """
-    return _apply_map("minimum_energy", problem, u, config,
-                      residual(problem, config.solver))
+    return SynthesizedControl(
+        lam=sol.lam, anchor_time=tau, map_kind=config.map_kind,
+        grid_ts=rule.nodes, grid_values=np.einsum("kim,i->km", rows, sol.lam),
+        solve_info=sol), traj
 
 
 def endpoint_error(traj: Trajectory, x1: np.ndarray) -> float:
@@ -187,8 +183,7 @@ def diverging(err_trace) -> bool:
 
 
 def run_picard(problem, config: SynthesisConfig = SynthesisConfig(),
-               u0: Optional[ControlFunction] = None
-               ) -> Tuple[ControlFunction, List[IterationRecord], RunStatus]:
+               u0: Optional[ControlFunction] = None) -> PicardResult:
     """Picard iteration of the selected synthesis map from u0 (default zero).
 
     This is the one place that decides on rank deficiency, which
@@ -208,7 +203,7 @@ def run_picard(problem, config: SynthesisConfig = SynthesisConfig(),
 
     for n in range(config.n_max):
         tic = time.perf_counter()
-        u_next, traj, _ = _apply_map(config.map_kind, problem, u, config, y)
+        u_next, traj = apply_map(problem, u, config, y)
         sol = u_next.solve_info
         if n == 0:
             initial_ok = not sol.deficient
@@ -227,13 +222,13 @@ def run_picard(problem, config: SynthesisConfig = SynthesisConfig(),
             gramian_condition=sol.condition_estimate, wall_time=wall))
 
         if err_end <= config.eps_x:
-            return u, records, RunStatus(
+            return PicardResult(u, records, RunStatus(
                 "endpoint_tolerance", n + 1, initial_ok,
-                f"err_end={err_end:.3e} <= {config.eps_x:g}")
+                f"err_end={err_end:.3e} <= {config.eps_x:g}"), y, traj)
         if err_fp <= config.eps_u:
-            return u_next, records, RunStatus(
+            return PicardResult(u_next, records, RunStatus(
                 "control_update_tolerance", n + 1, initial_ok,
-                f"err_fp={err_fp:.3e} <= {config.eps_u:g}")
+                f"err_fp={err_fp:.3e} <= {config.eps_u:g}"), y, None)
 
         err_trace.append(err_end)
         if diverging(err_trace):
@@ -243,5 +238,6 @@ def run_picard(problem, config: SynthesisConfig = SynthesisConfig(),
                 "consecutive iterations")
         u = u_next
 
-    return u, records, RunStatus("max_iterations", config.n_max, initial_ok,
-                                 f"stopped after N_max={config.n_max}")
+    return PicardResult(u, records, RunStatus(
+        "max_iterations", config.n_max, initial_ok,
+        f"stopped after N_max={config.n_max}"), y, None)

@@ -17,16 +17,15 @@ has no source in the repository and contradicts both oracles.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from gramsynth import (ExperimentConfig, SolverConfig, SteeringProblem,
-                       SynthesisConfig, ZeroControl, apply_general_map,
-                       apply_minimum_energy_map, control_energy,
-                       feedback_linearization_baseline,
-                       flow_conjugate_profile,
-                       make_benchmark, residual, run_picard, simpson_rule,
-                       solve_trajectory)
+                       SynthesisConfig, ZeroControl, apply_map,
+                       control_energy, feedback_linearization_baseline,
+                       flow_conjugate_profile, make_benchmark, residual,
+                       run_picard, simpson_rule, solve_trajectory)
 from gramsynth.flow import flow_input_products
 from gramsynth.gramian import assemble_symmetric_from_samples
 from gramsynth.harness import run_scale, run_synthesize, run_underactuated
@@ -59,10 +58,11 @@ def suite_run(name, map_kind):
                               n_max=25, eps_x=1e-11, eps_u=1e-11,
                               **RUN_SETTINGS[name])
         tic = time.perf_counter()
-        u, records, status = run_picard(problem, cfg)
+        result = run_picard(problem, cfg)
         wall = time.perf_counter() - tic
-        _CACHE[key] = dict(system=system, problem=problem, config=cfg, u=u,
-                           records=records, status=status, wall=wall)
+        _CACHE[key] = dict(system=system, problem=problem, config=cfg,
+                           u=result.control, records=result.records,
+                           status=result.status, wall=wall)
     return _CACHE[key]
 
 
@@ -230,16 +230,20 @@ def test_c5_lti_oracle_equivalence():
     ts = np.linspace(0.0, 1.2, 401)
     ref = np.stack([u_star(float(t)) for t in ts])
 
-    u_gen, _, _ = apply_general_map(problem, ZeroControl(2, (0.0, 1.2)), cfg)
-    u_me, _, _ = apply_minimum_energy_map(problem, ZeroControl(2, (0.0, 1.2)),
-                                          cfg)
+    y = residual(problem, cfg.solver)
+    u_gen, u_me = (apply_map(problem, ZeroControl(2, (0.0, 1.2)),
+                             replace(cfg, map_kind=kind), y)[0]
+                   for kind in ("general", "minimum_energy"))
+    kinds_ok = (u_gen.map_kind, u_me.map_kind) == ("general",
+                                                   "minimum_energy")
     gap_gen = float(np.max(np.abs(u_gen.eval_many(ts) - ref)))
     gap_me = float(np.max(np.abs(u_me.eval_many(ts) - ref)))
 
-    u, records, status = run_picard(problem, cfg)
+    result = run_picard(problem, cfg)
+    records, status = result.records, result.status
     fp_at_one = (status.criterion == "control_update_tolerance"
                  and records[-1].n == 1)
-    ok = gap_gen <= 1e-6 and gap_me <= 1e-6 and fp_at_one
+    ok = gap_gen <= 1e-6 and gap_me <= 1e-6 and fp_at_one and kinds_ok
     report("C5 LTI oracle equivalence",
            ok, f"sup gaps: general={gap_gen:.2e}, me={gap_me:.2e} (<=1e-6); "
                f"err_fp fired at n={records[-1].n} "
@@ -326,7 +330,6 @@ def test_c8_quadrature_fourth_order():
 def test_c9_scalability_and_underactuated(tmp_path):
     tic = time.perf_counter()
     scale_cfg = ExperimentConfig.from_dict({
-        "system": {"name": "mindy_like"},
         "scale": {"dims": [64], "trials": 1},
         "synthesis": {"map_kind": "general", "n_max": 10, "eps_x": 1e-6,
                       "quadrature_points": 5001, "regularization": 1e-6},
@@ -342,7 +345,6 @@ def test_c9_scalability_and_underactuated(tmp_path):
                 and wall <= 1800.0)
 
     ua_cfg = ExperimentConfig.from_dict({
-        "system": {"name": "mindy_like"},
         "underactuated": {"d": 24, "k": 12},
         "synthesis": {"map_kind": "minimum_energy", "n_max": 50,
                       "quadrature_points": 201},

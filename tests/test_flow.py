@@ -6,9 +6,9 @@ from scipy.integrate import quad_vec, solve_ivp
 from scipy.linalg import expm
 
 from gramsynth import (SteeringProblem, ZeroControl, chain_input_products,
-                       flow_conjugate_profile, flow_input_product,
-                       flow_input_products, drift_flow, linear_system,
-                       make_benchmark, residual, solve_trajectory)
+                       flow_conjugate_profile, flow_input_products,
+                       drift_flow, linear_system, make_benchmark, residual,
+                       solve_trajectory)
 from gramsynth import flow
 from gramsynth.controls import ClosedFormControl
 
@@ -86,15 +86,15 @@ def test_residual_lti_oracle(lti3, tight_solver):
 
 def test_flow_product_at_anchor_is_exact(lti3, tight_solver):
     A, B, system, problem, u, traj = lti3
-    out = flow_input_product(traj, 0.7, 0.7, tight_solver)
+    out = flow_input_products(traj, [0.7], 0.7, tight_solver)[0]
     assert np.array_equal(out, B)
 
 
 def test_flow_product_lti_expm(lti3, tight_solver):
     A, B, system, problem, u, traj = lti3
-    fwd = flow_input_product(traj, 0.4, 1.5, tight_solver)
+    fwd = flow_input_products(traj, [0.4], 1.5, tight_solver)[0]
     assert np.max(np.abs(fwd - expm(A * 1.1) @ B)) < 1e-7
-    back = flow_input_product(traj, 0.4, 0.0, tight_solver)
+    back = flow_input_products(traj, [0.4], 0.0, tight_solver)[0]
     assert np.max(np.abs(back - expm(-A * 0.4) @ B)) < 1e-7
 
 
@@ -102,7 +102,7 @@ def test_flow_product_driftless_is_input(tight_solver):
     system, problem = make_benchmark("unicycle")
     u = _const_control(2, 0.2)
     traj = solve_trajectory(problem, u, tight_solver)
-    out = flow_input_product(traj, 0.8, 2.0, tight_solver)
+    out = flow_input_products(traj, [0.8], 2.0, tight_solver)[0]
     expect = system.input_matrix(0.8, traj.state(0.8))
     assert np.max(np.abs(out - expect)) < 1e-12
 
@@ -121,7 +121,7 @@ def test_flow_product_fd_oracle(name, tight_solver):
         tau = problem.T if rng.random() < 0.5 else problem.t0
         x_t = traj.state(t)
         B = system.input_matrix(t, x_t)
-        P = flow_input_product(traj, t, tau, tight_solver)
+        P = flow_input_products(traj, [t], tau, tight_solver)[0]
         for j in range(system.k):
             plus = drift_flow(system, t, tau, x_t + h * B[:, j], tight_solver)
             minus = drift_flow(system, t, tau, x_t - h * B[:, j], tight_solver)
@@ -149,7 +149,7 @@ def test_stm_reduces_to_flow_product_with_zero_control(tight_solver):
     u = ZeroControl(2, (0.0, 1.5))
     traj = solve_trajectory(problem, u, tight_solver)
     S = _chain(traj, u, 0.5, problem.T, tight_solver)
-    F = flow_input_product(traj, 0.5, problem.T, tight_solver)
+    F = flow_input_products(traj, [0.5], problem.T, tight_solver)[0]
     assert np.max(np.abs(S - F)) < 1e-8
 
 
@@ -288,8 +288,8 @@ def test_flow_products_match_per_sample_reference(name, params, tight_solver,
 
 def test_products_are_pure(lti3, tight_solver):
     A, B, system, problem, u, traj = lti3
-    a = flow_input_product(traj, 0.3, 1.5, tight_solver)
-    b = flow_input_product(traj, 0.3, 1.5, tight_solver)
+    a = flow_input_products(traj, [0.3], 1.5, tight_solver)[0]
+    b = flow_input_products(traj, [0.3], 1.5, tight_solver)[0]
     assert np.array_equal(a, b)
     c = _chain(traj, u, 0.3, 0.0, tight_solver)
     d = _chain(traj, u, 0.3, 0.0, tight_solver)

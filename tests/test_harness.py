@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 
 from gramsynth import ConfigError, ExperimentConfig, RunArtifact
+from gramsynth import flow, harness
 from gramsynth.cli import main as cli_main
 from gramsynth.harness import (run_baseline, run_reference, run_scale,
                                run_synthesize, run_underactuated)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 FAST_UNICYCLE = {
     "system": {"name": "unicycle"},
@@ -65,9 +68,8 @@ def test_config_validation_errors():
         ExperimentConfig.from_dict({"scale": {"dims": [0]}})
 
 
-@pytest.mark.parametrize("path", sorted(
-    (Path(__file__).resolve().parents[1] / "configs").glob("*.json")),
-    ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")),
+                         ids=lambda p: p.name)
 def test_shipped_config_echo_loads_back(path):
     cfg = ExperimentConfig.from_json(str(path))
     echo = json.loads(json.dumps(cfg.echo()))
@@ -225,7 +227,6 @@ def test_synthesize_certificate_with_anchor_override(tmp_path):
 
 def test_scale_run_structure_and_determinism(tmp_path):
     base = {
-        "system": {"name": "mindy_like"},
         "scale": {"dims": [2, 3], "trials": 2},
         "synthesis": {"n_max": 6, "eps_x": 1e-5, "quadrature_points": 51},
         "solver": {"rtol": 1e-7, "atol": 1e-9},
@@ -251,7 +252,6 @@ def test_underactuated_small_surrogate(tmp_path):
     # half-actuated surrogate network; the minimum-energy synthesis must
     # undercut the reference control that manufactured the target
     base = {
-        "system": {"name": "mindy_like"},
         "underactuated": {"d": 24, "k": 12},
         "synthesis": {"map_kind": "minimum_energy", "n_max": 15,
                       "quadrature_points": 201},
@@ -270,6 +270,48 @@ def test_underactuated_small_surrogate(tmp_path):
     with open(tmp_path / "out" / "control.csv") as fh:
         assert fh.readline().strip().split(",") == \
             ["t"] + [f"u{i+1}" for i in range(k)]
+
+
+def test_scale_and_underactuated_reject_a_system_section(tmp_path):
+    # both build their own mindy_like networks, so a system section (and a
+    # typo in its params) would otherwise be ignored
+    for run, section in ((run_scale, {"scale": {"dims": [2], "trials": 1}}),
+                         (run_underactuated,
+                          {"underactuated": {"d": 4, "k": 2}})):
+        for system in ({"params": {"x_0": 1}}, {"name": "mindy_like"}):
+            with pytest.raises(ConfigError):
+                run(_cfg(tmp_path, base={"system": system, **section}))
+
+
+def _counted(monkeypatch, module, name):
+    """Calls of ``module.name`` from now on, one list entry per call."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_synthesize_reuses_the_runs_solves(tmp_path, monkeypatch):
+    # run_picard keeps the residual and, when it stops on the endpoint
+    # tolerance, the trajectory of the control it returns
+    steer = _counted(monkeypatch, harness, "solve_trajectory")
+    drift = _counted(monkeypatch, flow, "drift_flow")
+    art = run_synthesize(ExperimentConfig.from_json(
+        str(CONFIGS / "unicycle.json")))
+    assert art.status["criterion"] == "endpoint_tolerance"
+    assert art.status["iterations"] == 3
+    assert len(steer) == 0 and len(drift) == 1
+    assert art.summary["err_end"] == art.telemetry[-1]["err_end"]
+    # on a control-update stop no pass solved the returned control's
+    # trajectory
+    del drift[:]
+    art = run_synthesize(_cfg(tmp_path))
+    assert art.status["criterion"] == "control_update_tolerance"
+    assert len(steer) == 1 and len(drift) == 1
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -294,6 +336,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad_path.write_text(json.dumps(data))
     assert cli_main(["synthesize", str(bad_path)]) == 2
     bad_path.write_text(json.dumps({"scale": {"n_maxx": 10}}))
+    assert cli_main(["scale", str(bad_path)]) == 2
+    bad_path.write_text(json.dumps({"system": {"params": {"x_0": 1}},
+                                    "scale": {"dims": [2], "trials": 1}}))
     assert cli_main(["scale", str(bad_path)]) == 2
 
     # json format suppresses csv exports

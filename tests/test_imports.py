@@ -37,8 +37,8 @@ def _unused_imports(path):
 
 
 def test_no_unused_imports():
-    files = [p for p in sorted((ROOT / "src" / "gramsynth").glob("*.py"))
-             + sorted((ROOT / "tests").glob("*.py"))
+    files = [p for d in ("src/gramsynth", "tests", "demos")
+             for p in sorted((ROOT / d).glob("*.py"))
              if p.name != "__init__.py"]
     assert len(files) > 10
     unused = [hit for p in files for hit in _unused_imports(p)]

@@ -5,8 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from gramsynth import (SingularGramian, SteeringProblem, SynthesisConfig,
-                       ZeroControl, apply_general_map,
-                       apply_minimum_energy_map, control_energy, drift_flow,
+                       ZeroControl, apply_map, control_energy, drift_flow,
                        endpoint_error, energy_certificate, fixed_point_error,
                        flow_input_products, linear_system, make_benchmark,
                        residual, run_picard, solve_trajectory)
@@ -34,13 +33,17 @@ def test_closed_form_control_scalar_and_vectorized():
     assert np.allclose(uv.eval_many(ts)[:, 0], np.sin(ts))
 
 
+def _map(problem, u, cfg):
+    """One application of ``cfg.map_kind``'s map, with the residual solved."""
+    return apply_map(problem, u, cfg, residual(problem, cfg.solver))
+
+
 @pytest.fixture(scope="module")
 def lti_map_output(lti_pair, paper_solver):
     A, B, system, problem = lti_pair
     cfg = SynthesisConfig(quadrature_points=1001, solver=paper_solver)
-    u1, traj0, gram = apply_general_map(problem, ZeroControl(2, (0.0, 1.2)),
-                                        cfg)
-    return u1, traj0, gram, problem
+    u1, traj0 = _map(problem, ZeroControl(2, (0.0, 1.2)), cfg)
+    return u1, traj0, problem
 
 
 def _exact_general_control(u1, traj0, ts, solver):
@@ -59,7 +62,7 @@ def test_synthesized_grid_values_match_exact_formula(lti_map_output,
                                                      paper_solver):
     # grid nodes carry the exact pointwise product formula, over the
     # products of the map's own grid solve
-    u1, traj0, gram, problem = lti_map_output
+    u1, traj0, problem = lti_map_output
     D = flow_input_products(traj0, u1.grid_ts, u1.anchor_time, paper_solver)
     for j in range(0, len(u1.grid_ts), 200):
         exact = D[j].T @ u1.lam
@@ -72,7 +75,7 @@ def test_synthesized_dense_vs_on_demand_between_nodes(lti_pair,
     # the spline between nodes stays close to the pointwise formula, and
     # both stay close to the LTI closed form B^T expm(A^T (T - t)) lam
     A, B = lti_pair[:2]
-    u1, traj0, gram, problem = lti_map_output
+    u1, traj0, problem = lti_map_output
     ts = np.array([0.123, 0.5501, 0.997])
     exact = _exact_general_control(u1, traj0, ts, paper_solver)
     for t, ex in zip(ts, exact):
@@ -82,7 +85,7 @@ def test_synthesized_dense_vs_on_demand_between_nodes(lti_pair,
 
 
 def test_synthesized_control_carries_multiplier(lti_map_output):
-    u1, traj0, gram, problem = lti_map_output
+    u1, traj0, problem = lti_map_output
     assert u1.lam.shape == (4,)
     assert u1.map_kind == "general"
     assert u1.anchor_time == problem.T
@@ -97,14 +100,14 @@ def test_zero_residual_gives_zero_control(paper_solver):
     x1 = drift_flow(system, problem.t0, problem.T, problem.x0, paper_solver)
     p = SteeringProblem(system, problem.x0, x1, problem.t0, problem.T)
     cfg = SynthesisConfig(quadrature_points=101, solver=paper_solver)
-    u1, _, _ = apply_general_map(p, ZeroControl(1, (p.t0, p.T)), cfg)
+    u1, _ = _map(p, ZeroControl(1, (p.t0, p.T)), cfg)
     assert np.max(np.abs(u1.eval_many(np.linspace(p.t0, p.T, 50)))) < 1e-8
 
 
 def test_general_map_matches_lti_min_energy_oracle(lti_pair, paper_solver):
     A, B, system, problem = lti_pair
     cfg = SynthesisConfig(quadrature_points=1001, solver=paper_solver)
-    u1, _, _ = apply_general_map(problem, ZeroControl(2, (0.0, 1.2)), cfg)
+    u1, _ = _map(problem, ZeroControl(2, (0.0, 1.2)), cfg)
     u_star, W, lam = lti_min_energy_control(A, B, problem.x0, problem.x1,
                                             0.0, 1.2)
     ts = np.linspace(0.0, 1.2, 401)
@@ -114,11 +117,12 @@ def test_general_map_matches_lti_min_energy_oracle(lti_pair, paper_solver):
 
 def test_minimum_energy_map_equals_general_for_lti(lti_pair, paper_solver):
     A, B, system, problem = lti_pair
-    cfg = SynthesisConfig(quadrature_points=1001, solver=paper_solver)
     u0 = ClosedFormControl(lambda t: np.array([0.1, -0.2]), k=2,
                            span=(0.0, 1.2))
-    ug, _, _ = apply_general_map(problem, u0, cfg)
-    um, _, _ = apply_minimum_energy_map(problem, u0, cfg)
+    ug, um = (_map(problem, u0, SynthesisConfig(
+        map_kind=kind, quadrature_points=1001, solver=paper_solver))[0]
+        for kind in ("general", "minimum_energy"))
+    assert (ug.map_kind, um.map_kind) == ("general", "minimum_energy")
     assert fixed_point_error(um, ug, 401) < 1e-6
 
 
@@ -127,9 +131,9 @@ def test_unicycle_two_applications(paper_solver):
     cfg = SynthesisConfig(quadrature_points=401, solver=paper_solver)
     # the resting unicycle's first Gramian is rank-deficient: flagged,
     # not raised, by the single-pass map
-    u1, _, _ = apply_general_map(problem, ZeroControl(2, (0.0, 2.0)), cfg)
+    u1, _ = _map(problem, ZeroControl(2, (0.0, 2.0)), cfg)
     assert u1.solve_info.deficient
-    u2, _, _ = apply_general_map(problem, u1, cfg)
+    u2, _ = _map(problem, u1, cfg)
     traj = solve_trajectory(problem, u2, paper_solver)
     assert np.linalg.norm(traj.endpoint - problem.x1) <= 1e-9
 
@@ -155,10 +159,10 @@ def test_terminates_at_iteration_zero_on_matched_target(paper_solver):
     p = SteeringProblem(system, problem.x0, x1, problem.t0, problem.T)
     cfg = SynthesisConfig(quadrature_points=101, solver=paper_solver,
                           eps_x=1e-8)
-    u, records, status = run_picard(p, cfg)
-    assert status.criterion == "endpoint_tolerance"
-    assert records[-1].n == 0
-    assert isinstance(u, ZeroControl)
+    result = run_picard(p, cfg)
+    assert result.status.criterion == "endpoint_tolerance"
+    assert result.records[-1].n == 0
+    assert isinstance(result.control, ZeroControl)
 
 
 def test_lti_fixed_point_at_iteration_one(lti_pair, tight_solver):
@@ -167,30 +171,32 @@ def test_lti_fixed_point_at_iteration_one(lti_pair, tight_solver):
     A, B, system, problem = lti_pair
     cfg = SynthesisConfig(quadrature_points=1001, solver=tight_solver,
                           eps_x=1e-13, eps_u=1e-8)
-    u, records, status = run_picard(problem, cfg)
-    assert status.criterion == "control_update_tolerance"
-    assert records[-1].n == 1
-    assert records[-1].err_fp < 1e-8
+    result = run_picard(problem, cfg)
+    assert result.status.criterion == "control_update_tolerance"
+    assert result.records[-1].n == 1
+    assert result.records[-1].err_fp < 1e-8
 
 
 def test_returned_control_re_steers(paper_solver):
     system, problem = make_benchmark("unicycle")
     cfg = SynthesisConfig(quadrature_points=401, solver=paper_solver,
                           eps_x=1e-10)
-    u, records, status = run_picard(problem, cfg)
-    assert status.criterion == "endpoint_tolerance"
-    traj = solve_trajectory(problem, u, paper_solver)
+    result = run_picard(problem, cfg)
+    assert result.status.criterion == "endpoint_tolerance"
+    traj = solve_trajectory(problem, result.control, paper_solver)
     assert np.linalg.norm(traj.endpoint - problem.x1) <= cfg.eps_x * 1.01
+    # the last pass solved this trajectory already, bit for bit
+    assert np.array_equal(result.trajectory.endpoint, traj.endpoint)
 
 
 def test_initial_gramian_reporting(paper_solver):
     system, problem = make_benchmark("unicycle")
     cfg = SynthesisConfig(quadrature_points=201, solver=paper_solver)
-    u, records, status = run_picard(problem, cfg)
+    status = run_picard(problem, cfg).status
     assert status.initial_gramian_ok is False  # driftless resting Gramian
     system, problem = make_benchmark("hopfield2d_full")
     cfg = SynthesisConfig(quadrature_points=101, solver=paper_solver, n_max=2)
-    u, records, status = run_picard(problem, cfg)
+    status = run_picard(problem, cfg).status
     assert status.initial_gramian_ok is True
 
 
@@ -198,7 +204,7 @@ def test_records_are_finite_and_ordered(paper_solver):
     system, problem = make_benchmark("hopfield2d_full")
     cfg = SynthesisConfig(quadrature_points=101, solver=paper_solver, n_max=4,
                           eps_x=1e-14, eps_u=1e-14)
-    u, records, status = run_picard(problem, cfg)
+    records = run_picard(problem, cfg).records
     assert [r.n for r in records] == list(range(len(records)))
     for r in records:
         for v in (r.err_end, r.err_fp, r.energy, r.energy_sq_norm,
@@ -212,9 +218,23 @@ def test_anchor_equivalence_on_unicycle(paper_solver):
         system, problem = make_benchmark("unicycle", params={"anchor": anchor})
         cfg = SynthesisConfig(quadrature_points=401, solver=paper_solver,
                               eps_x=1e-9)
-        u, records, status = run_picard(problem, cfg)
-        assert status.criterion == "endpoint_tolerance"
-        assert records[-1].err_end <= 1e-9
+        result = run_picard(problem, cfg)
+        assert result.status.criterion == "endpoint_tolerance"
+        assert result.records[-1].err_end <= 1e-9
+
+
+def test_result_unpacks_as_control_records_status(paper_solver):
+    # perfbench/run.py unpacks the result as this triple
+    system, problem = make_benchmark("hopfield2d_full")
+    cfg = SynthesisConfig(quadrature_points=101, solver=paper_solver, n_max=2,
+                          eps_x=1e-14, eps_u=1e-14)
+    result = run_picard(problem, cfg)
+    u, records, status = result
+    assert u is result.control and records is result.records
+    assert status is result.status
+    # no pass solved the trajectory of the last iterate
+    assert status.criterion == "max_iterations"
+    assert result.trajectory is None
 
 
 def test_synthesis_config_validation():
@@ -276,7 +296,7 @@ def test_certificate_matches_energy_scalar_integrator(paper_solver):
     system = linear_system(np.zeros((1, 1)), np.eye(1))
     problem = SteeringProblem(system, np.zeros(1), np.array([2.0]), 0.0, 1.0)
     cfg = SynthesisConfig(quadrature_points=51, solver=paper_solver)
-    u1, _, _ = apply_general_map(problem, ZeroControl(1, (0.0, 1.0)), cfg)
+    u1, _ = _map(problem, ZeroControl(1, (0.0, 1.0)), cfg)
     y = residual(problem, paper_solver)
     cert = energy_certificate(y, u1.lam)
     assert cert == pytest.approx(2.0, abs=1e-8)
@@ -287,8 +307,10 @@ def test_certificate_at_fixed_point(paper_solver):
     system, problem = make_benchmark("hopfield2d_full")
     cfg = SynthesisConfig(quadrature_points=201, solver=paper_solver,
                           eps_x=1e-10, eps_u=1e-10, n_max=20)
-    u, records, status = run_picard(problem, cfg)
+    result = run_picard(problem, cfg)
     y = residual(problem, paper_solver)
+    assert np.array_equal(result.residual, y)
+    u = result.control
     E = control_energy(u, 0.0, 1.5)
     assert abs(0.5 * float(y @ u.lam) - E) <= 1e-4 * E
 
