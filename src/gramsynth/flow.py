@@ -5,7 +5,10 @@ Two matrix-valued products feed the Gramians:
 * flow-input products -- drift-flow Jacobian times B, transported from a
   sample time to the anchor.  Each sample's coupled (y, Y) system is
   rescaled onto s in [0, 1], so samples on either side of the anchor
-  become rows of one lockstep batch solve.
+  become rows of one lockstep batch solve.  Consecutive batches have
+  nearly the same spans, so each batch after the first is warm-started
+  from the step its predecessor's controller proposed last, and only the
+  first pays the starting-step warm-up.
 * chain products -- the closed-loop state-transition matrix R_u(T,t)
   times B, pushed through the drift variational equation back to the
   anchor.  R_u(T,t) is the Pontryagin costate, so one dense backward
@@ -29,10 +32,10 @@ from .systems import ControlAffineSystem, SteeringProblem, drift_flow
 # fraction of the configured rtol and atol.
 _COSTATE_TOL_FACTOR = 1e-2
 
-# Elements (rows x (d + d*m)) of one lockstep variational batch.  Speed of
-# the d=64, K=1001 flow products against one solve per sample (one BLAS
-# thread, 4 MiB L2, medians of three): 1 row 0.94x, 2 rows 1.08x, 4-7 rows
-# 1.2x, 16-32 rows 1.1-1.2x, 64 rows 1.06x, 128 rows 0.92x.  Every row
+# Elements (rows x (d + d*m)) of one lockstep variational batch.  One pass
+# of warm-started d=64, K=1001 flow products (one BLAS thread, 2-vCPU Xeon,
+# medians of five alternated runs): 1 row 3.32 s, 3 rows 2.44 s, 7 rows
+# 2.06 s, 15 rows 1.98 s (runs 1.72-3.09 s), 31 rows 2.14 s.  Every row
 # adds stage and knot arrays, so the smallest fast size: 2**15 elements,
 # 7 rows at d=64 and whole 201-node grids at d=2.
 _BATCH_ELEMENTS = 2 ** 15
@@ -95,24 +98,29 @@ def _variational_rhs(s, Z, system, t_from, span, d, m):
     Y = Z[:, d:].reshape(-1, d, m)
     out = np.empty_like(Z)
     out[:, :d] = span[:, None] * system.drift(t, y)
-    out[:, d:] = (span[:, None, None]
-                  * (system.drift_jacobian(t, y) @ Y)).reshape(len(Z), -1)
+    JY = out[:, d:].reshape(-1, d, m)
+    np.matmul(system.drift_jacobian(t, y), Y, out=JY)
+    JY *= span[:, None, None]
     return out
 
 
-def _drift_variational(system, t_from, t_to, y0, Y0, config):
+def _drift_variational(system, t_from, t_to, y0, Y0, config,
+                       first_step=None):
     """D Phi_{t_from[i], t_to}(y0[i]) Y0[i] for every row i; (B, d, m).
 
     Row i runs dz/ds = (t_to - t_from[i]) F(t, z) on s in [0, 1], with F
     the drift and its variational equation, so all rows share one step
-    sequence whatever their span or direction.
+    sequence whatever their span or direction.  Returns the products and
+    the solve's `DenseSolution.next_step`, a warm ``first_step`` for the
+    next batch.
     """
     B, d, m = Y0.shape
     rhs = partial(_variational_rhs, system=system, t_from=t_from,
                   span=t_to - t_from, d=d, m=m)
     z0 = np.concatenate([y0, Y0.reshape(B, d * m)], axis=1)
-    sol = integrate(OdeProblem(rhs, 0.0, 1.0, z0), config, dense=False)
-    return sol.ys[-1][:, d:].reshape(B, d, m)
+    sol = integrate(OdeProblem(rhs, 0.0, 1.0, z0), config, dense=False,
+                    first_step=first_step)
+    return sol.ys[-1][:, d:].reshape(B, d, m), sol.next_step
 
 
 def _chunks(ts, d, k):
@@ -133,20 +141,21 @@ def flow_input_products(traj: Trajectory, ts, tau: float,
     """Flow-input products at sample times ts; shape (len(ts), d, k).
 
     Consecutive samples are solved together in lockstep batches of
-    ``_BATCH_ELEMENTS``; a sample at t == tau is B_t exactly.
+    ``_BATCH_ELEMENTS``, each after the first warm-started from its
+    predecessor's last proposed step; a sample at t == tau is B_t exactly.
     """
     sys_ = traj.system
     ts = np.asarray(ts, dtype=float).ravel()
     out = np.empty((ts.size, sys_.d, sys_.k))
+    step = None
     for part in _chunks(ts, sys_.d, sys_.k):
         t = ts[part]
         x = traj.solution.eval_many(t)
         block = _input_matrices(sys_, t, x, out[part])
         moving = t != tau
         if moving.any():
-            block[moving] = _drift_variational(sys_, t[moving], tau,
-                                               x[moving], block[moving],
-                                               config)
+            block[moving], step = _drift_variational(
+                sys_, t[moving], tau, x[moving], block[moving], config, step)
     return out
 
 
@@ -176,7 +185,7 @@ def chain_input_products(traj: Trajectory, u, ts, tau: float,
                         costate_config)
     push = None if tau == T else _drift_variational(
         sys_, np.array([T]), tau, traj.endpoint[None], np.eye(d)[None],
-        config)[0]
+        config)[0][0]
     ts = np.asarray(ts, dtype=float).ravel()
     out = np.empty((ts.size, d, k))
     for part in _chunks(ts, d, k):

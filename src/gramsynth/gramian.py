@@ -156,15 +156,21 @@ def solve_gramian(G: GramianMatrix, y: np.ndarray,
 
 
 def _refine(A, y, lam, solve_shifted, max_steps: int = 30):
-    """Richardson refinement of ``A lam = y`` using the shifted factors."""
+    """Richardson refinement of ``A lam = y`` using the shifted factors.
+
+    Steps while each one at least halves the best residual so far; returns
+    the iterate with the smallest residual.
+    """
     best = lam
-    best_res = float(np.linalg.norm(A @ lam - y))
+    r = y - A @ lam
+    best_res = float(np.linalg.norm(r))
     for _ in range(max_steps):
-        r = y - A @ lam
         lam = lam + solve_shifted(r)
-        res = float(np.linalg.norm(A @ lam - y))
+        r = y - A @ lam
+        res = float(np.linalg.norm(r))
+        stalled = res >= 0.5 * best_res
         if res < best_res:
             best, best_res = lam, res
-        if res >= 0.5 * best_res or res == 0.0:
+        if stalled or res == 0.0:
             break
     return best

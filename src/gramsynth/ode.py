@@ -2,8 +2,17 @@
 
 The method is the 8th-order Dormand-Prince pair (DOP853) with its degree-7
 companion interpolant.  Step sizes are chosen by the classical integral
-controller, starting from an automatically chosen step.  Backward integration
-(``t_end < t_start``) is supported directly by stepping with negative h.
+controller, starting from an automatically chosen step or from a caller's
+``first_step``.  The starting step is only a first guess that the error
+control corrects (Hairer, Norsett & Wanner, "Solving ODEs I", II.4), so a
+caller solving a run of similar problems passes each solve's
+`DenseSolution.next_step` to the next one and skips the warm-up.  Backward
+integration (``t_end < t_start``) is supported directly by stepping with
+negative h.
+
+The stepper writes its stage states and error scale into two workspace
+vectors allocated once per solve; only each accepted state is a fresh
+array, because the solution keeps it as a knot.
 
 A 2-D initial state (B, n) is a batch of B independent rows stepped in
 lockstep: the rows share one step sequence, and a step is accepted on the
@@ -56,7 +65,9 @@ class OdeProblem:
     """First-order IVP dy/dt = vector_field(t, y) on [t_start, t_end].
 
     ``y0`` is one state (n,) or a batch of rows (B, n); the vector field
-    takes and returns arrays of the shape of ``y0``.
+    takes and returns arrays of the shape of ``y0``.  The state it is
+    handed may be a workspace that the solver overwrites afterwards, so it
+    must not keep a reference to it.
     """
 
     vector_field: Callable[[float, np.ndarray], np.ndarray]
@@ -121,6 +132,9 @@ class DenseSolution:
     knot returns a copy of the solver's discrete state there exactly;
     between knots, step j's degree-7 interpolant is
     ``ys[j] + sum_i w_i(x) segments[j, i]`` with the weights of `_weights`.
+    ``next_step`` is the step size (absolute) the controller proposed for
+    the final step before clipping it to ``t_end``: a warm ``first_step``
+    for a similar solve.
     """
 
     ts: np.ndarray
@@ -128,6 +142,7 @@ class DenseSolution:
     segments: Optional[np.ndarray]  # (n_segs, 7, *state shape)
     n_accepted: int
     n_rejected: int
+    next_step: float
     _ts_asc: np.ndarray = field(init=False, repr=False)
     _knots: list = field(init=False, repr=False)
     _ascending: bool = field(init=False, repr=False)
@@ -209,7 +224,8 @@ def _weights(x):
 
 
 def integrate(problem: OdeProblem, config: SolverConfig = SolverConfig(),
-              dense: bool = True) -> DenseSolution:
+              dense: bool = True,
+              first_step: Optional[float] = None) -> DenseSolution:
     """Integrate ``problem`` adaptively, returning a dense solution.
 
     A batch ``y0`` of shape (B, n) is stepped in lockstep; each step is
@@ -219,9 +235,15 @@ def integrate(problem: OdeProblem, config: SolverConfig = SolverConfig(),
     stages it needs); the result then only supports knot access and
     endpoint queries via ``ys[-1]``.
 
+    ``first_step`` (absolute, > 0) replaces the automatic starting step
+    and its extra vector-field call; the step is accepted or shrunk like
+    any other.
+
     Raises `StepLimitExceeded` when ``config.max_steps`` step attempts are
     spent, `NonFiniteState` when the state or error estimate goes NaN/Inf.
     """
+    if first_step is not None and not (0.0 < first_step < math.inf):
+        raise ValueError("first_step must be positive and finite")
     t0, t1 = float(problem.t_start), float(problem.t_end)
     y = np.array(problem.y0, dtype=float, copy=True)
     shape = y.shape
@@ -249,9 +271,14 @@ def integrate(problem: OdeProblem, config: SolverConfig = SolverConfig(),
     n_stages = tb.DOP853_N_STAGES
     K = np.empty((tb.DOP853_N_STAGES_EXTENDED, y.size))
     A, B, C = tb.DOP853_A, tb.DOP853_B, tb.DOP853_C
+    # Workspaces: stage states (then error terms) and the error scale.
+    stage = np.empty(y.size)
+    scale = np.empty(y.size)
 
-    h_abs = max(_initial_step(fun, t0, y, f0, direction, span,
-                              config.rtol, config.atol), h_min)
+    h_abs = first_step
+    if h_abs is None:
+        h_abs = _initial_step(fun, t0, y, f0, direction, span,
+                              config.rtol, config.atol)
 
     ts = [t0]
     ys = [y.copy()]
@@ -268,7 +295,8 @@ def integrate(problem: OdeProblem, config: SolverConfig = SolverConfig(),
         if attempts > config.max_steps:
             raise StepLimitExceeded(
                 f"no convergence within {config.max_steps} step attempts")
-        h_abs = min(max(h_abs, h_min), span)
+        proposed = max(h_abs, h_min)
+        h_abs = min(proposed, span)
         h = direction * h_abs
         t_new = t + h
         if direction * (t_new - t1) > 0.0:
@@ -278,9 +306,13 @@ def integrate(problem: OdeProblem, config: SolverConfig = SolverConfig(),
 
         K[0] = f_cur
         for s in range(1, n_stages):
-            dy = (K[:s].T @ A[s, :s]) * h
-            K[s] = fun(t + C[s] * h, y + dy)
-        y_new = y + h * (K[:n_stages].T @ B)
+            np.matmul(K[:s].T, A[s, :s], out=stage)
+            stage *= h
+            stage += y
+            K[s] = fun(t + C[s] * h, stage)
+        np.matmul(K[:n_stages].T, B, out=stage)
+        stage *= h
+        y_new = y + stage
         f_new = np.asarray(fun(t_new, y_new), dtype=float)
         K[n_stages] = f_new
 
@@ -288,18 +320,25 @@ def integrate(problem: OdeProblem, config: SolverConfig = SolverConfig(),
             raise NonFiniteState(f"non-finite state near t={t_new}")
 
         # DOP853 error norm of each row; the step answers to the largest.
-        scale = config.atol + config.rtol * np.maximum(np.abs(y), np.abs(y_new))
-        e5sq = _row_sq_norms(
-            ((K[:n_stages + 1].T @ tb.DOP853_E5) / scale).reshape(-1, n))
-        e3sq = _row_sq_norms(
-            ((K[:n_stages + 1].T @ tb.DOP853_E3) / scale).reshape(-1, n))
+        np.abs(y, out=stage)
+        np.abs(y_new, out=scale)
+        np.maximum(stage, scale, out=scale)
+        scale *= config.rtol
+        scale += config.atol
+        Kt = K[:n_stages + 1].T
+        np.matmul(Kt, tb.DOP853_E5, out=stage)
+        stage /= scale
+        e5sq = _row_sq_norms(stage.reshape(-1, n))
+        np.matmul(Kt, tb.DOP853_E3, out=stage)
+        stage /= scale
+        e3sq = _row_sq_norms(stage.reshape(-1, n))
         den = np.sqrt((e5sq + 0.01 * e3sq) * n)
         error_norm = float(np.max(abs(h) * e5sq / np.where(den > 0.0, den, 1.0)))
 
         if error_norm <= 1.0:
             if dense:
                 segs.append(_dense_coeffs_dop853(fun, t, y, y_new,
-                                                 f_cur, f_new, h, K))
+                                                 f_cur, f_new, h, K, stage))
             h_next = adapt_step(error_norm, h_abs)
             if last_rejected:
                 h_next = min(h_next, h_abs)
@@ -320,15 +359,17 @@ def integrate(problem: OdeProblem, config: SolverConfig = SolverConfig(),
         ts=np.asarray(ts), ys=np.asarray(ys).reshape((-1,) + shape),
         segments=(np.asarray(segs).reshape((-1, tb.DOP853_INTERP_POWER)
                                            + shape) if dense else None),
-        n_accepted=n_accepted, n_rejected=n_rejected)
+        n_accepted=n_accepted, n_rejected=n_rejected, next_step=proposed)
 
 
-def _dense_coeffs_dop853(fun, t, y, y_new, f_old, f_new, h, K):
+def _dense_coeffs_dop853(fun, t, y, y_new, f_old, f_new, h, K, stage):
     """Extra stages + F coefficients for the degree-7 interpolant."""
     ns = tb.DOP853_N_STAGES
     for s in range(ns + 1, tb.DOP853_N_STAGES_EXTENDED):
-        dy = (K[:s].T @ tb.DOP853_A[s, :s]) * h
-        K[s] = fun(t + tb.DOP853_C[s] * h, y + dy)
+        np.matmul(K[:s].T, tb.DOP853_A[s, :s], out=stage)
+        stage *= h
+        stage += y
+        K[s] = fun(t + tb.DOP853_C[s] * h, stage)
     delta = y_new - y
     F = np.empty((tb.DOP853_INTERP_POWER, y.size))
     F[0] = delta

@@ -292,7 +292,10 @@ def _mindy_drift(t, x, W, decay, alpha, beta):
 
 
 def _mindy_jac(t, x, W, decay, alpha, beta):
-    return -np.diag(decay) + W * _mindy_psi_deriv(x, alpha, beta)[..., None, :]
+    J = W * _mindy_psi_deriv(x, alpha, beta)[..., None, :]
+    diag = np.arange(len(decay))
+    J[..., diag, diag] -= decay
+    return J
 
 
 def _lti_drift(t, x, A):

@@ -286,6 +286,42 @@ def test_flow_products_match_per_sample_reference(name, params, tight_solver,
                     1.0, np.max(np.abs(ref)))
 
 
+def test_warm_started_batches_match_and_take_fewer_steps(tight_solver,
+                                                         monkeypatch):
+    # 2-row batches, each started from its predecessor's last proposed
+    # step, against the same batches started cold and one whole batch;
+    # the per-sample scipy check of these batches is the test above
+    system, problem = make_benchmark("mindy_like", {"d": 8, "k": 4})
+    u = ClosedFormControl(lambda t: np.full(system.k, np.sin(3.0 * t)),
+                          k=system.k, span=(problem.t0, problem.T))
+    traj = solve_trajectory(problem, u, tight_solver)
+    ts = np.linspace(problem.t0, problem.T, 9)
+    row = system.d + system.d * system.k
+    real = flow.integrate
+    steps = {}
+
+    def counted(warm):
+        def wrapper(problem, config, dense=True, first_step=None):
+            sol = real(problem, config, dense,
+                       first_step=first_step if warm else None)
+            steps[warm] += sol.n_accepted
+            return sol
+        return wrapper
+
+    for tau in (problem.t0, problem.T):
+        whole = flow_input_products(traj, ts, tau, tight_solver)
+        monkeypatch.setattr(flow, "_BATCH_ELEMENTS", 2 * row)
+        D = {}
+        for warm in (False, True):
+            steps[warm] = 0
+            monkeypatch.setattr(flow, "integrate", counted(warm))
+            D[warm] = flow_input_products(traj, ts, tau, tight_solver)
+        monkeypatch.undo()
+        assert steps[True] < steps[False]
+        scale = max(1.0, np.max(np.abs(whole)))
+        assert np.max(np.abs(D[True] - whole)) <= 1e-9 * scale
+
+
 def test_products_are_pure(lti3, tight_solver):
     A, B, system, problem, u, traj = lti3
     a = flow_input_products(traj, [0.3], 1.5, tight_solver)[0]

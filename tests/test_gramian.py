@@ -221,6 +221,26 @@ def test_regularized_solve_is_refined():
         1e-6 * np.linalg.norm(s.lam), rel=1e-3)
 
 
+def test_refinement_takes_more_than_one_step():
+    # the shift leaves a contraction of reg / (lambda_min + reg) ~ 0.09 per
+    # Richardson step, so a second step cuts the residual about tenfold
+    rng = np.random.default_rng(6)
+    Q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    M = (Q * np.geomspace(1e-3, 1.0, 6)) @ Q.T
+    M = 0.5 * (M + M.T)
+    y = rng.normal(size=6)
+    reg = 1e-4
+    shifted = M + reg * np.eye(6)
+    lam = np.linalg.solve(shifted, y)
+    one_step = lam + np.linalg.solve(shifted, y - M @ lam)
+    res_one = np.linalg.norm(M @ one_step - y)
+    two_steps = one_step + np.linalg.solve(shifted, y - M @ one_step)
+    assert np.linalg.norm(M @ two_steps - y) < 0.2 * res_one
+    s = solve_gramian(_gram(M), y, reg=reg)
+    assert s.method == "cholesky"
+    assert s.residual < 1e-3 * res_one
+
+
 def test_regularized_singular_stays_stable():
     rng = np.random.default_rng(5)
     U = rng.normal(size=(6, 2))

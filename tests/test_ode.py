@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gramsynth import _tableaux as tb
 from gramsynth import (NonFiniteState, OdeProblem, OutOfSpan, SolverConfig,
                        StepLimitExceeded, adapt_step, integrate)
 
@@ -301,3 +302,91 @@ def test_vector_field_dimension_mismatch():
     with pytest.raises(ValueError):
         integrate(OdeProblem(lambda t, y: np.zeros(2), 0.0, 1.0,
                              np.array([1.0, 2.0, 3.0])))
+
+
+class _Recorder:
+    """A vector field that logs each call's time, state copy and array."""
+
+    def __init__(self, field):
+        self.field, self.times, self.states, self.arrays = field, [], [], []
+
+    def __call__(self, t, y):
+        self.times.append(t)
+        self.states.append(y.copy())
+        self.arrays.append(y)
+        return self.field(t, y)
+
+
+def test_first_step_is_the_first_step_attempted():
+    # no starting-step guess: call 0 is f(t0), calls 1-11 the stages of the
+    # first attempt at t0 + C_s h, call 12 its end state at t0 + h
+    cfg = SolverConfig(rtol=1e-8, atol=1e-10)
+    rec = _Recorder(harmonic)
+    sol = integrate(OdeProblem(rec, 0.0, 3.0, np.array([1.0, 0.0])), cfg,
+                    first_step=0.05)
+    assert rec.times[1] == 0.05 * tb.DOP853_C[1]
+    assert rec.times[12] == 0.05
+    assert sol.ts[1] == 0.05 and sol.n_rejected == 0
+    with pytest.raises(ValueError):
+        integrate(OdeProblem(harmonic, 0.0, 1.0, np.array([1.0, 0.0])),
+                  first_step=0.0)
+
+
+def test_too_large_first_step_is_rejected_and_shrunk():
+    cfg = SolverConfig(rtol=1e-8, atol=1e-10)
+    rec = _Recorder(harmonic)
+    sol = integrate(OdeProblem(rec, 0.0, 2 * math.pi, np.array([1.0, 0.0])),
+                    cfg, first_step=2.0)
+    assert rec.times[12] == 2.0
+    assert sol.n_rejected >= 1 and 0.0 < sol.ts[1] < 2.0
+    assert np.max(np.abs(sol.ys[-1] - [1.0, 0.0])) < 10 * cfg.rtol
+
+
+def test_next_step_is_the_proposal_before_the_clip():
+    # one step of 0.5 proposed on a span of 0.1: clipped, accepted, and
+    # next_step reports the 0.5
+    sol = integrate(OdeProblem(harmonic, 0.0, 0.1, np.array([1.0, 0.0])),
+                    first_step=0.5)
+    assert sol.step_count == 1 and sol.ts[-1] == 0.1
+    assert sol.next_step == 0.5
+    # mid-run, the proposal is the step the longer solve goes on to take
+    cfg = SolverConfig(rtol=1e-8, atol=1e-10)
+    long = integrate(OdeProblem(harmonic, 0.0, 10.0, np.array([1.0, 0.0])),
+                     cfg, first_step=0.01)
+    j = long.step_count // 2
+    t_end = 0.5 * (long.ts[j] + long.ts[j + 1])
+    short = integrate(OdeProblem(harmonic, 0.0, t_end, np.array([1.0, 0.0])),
+                      cfg, first_step=0.01)
+    assert np.array_equal(short.ts[:-1], long.ts[:j + 1])
+    assert short.ts[-1] - short.ts[-2] < short.next_step
+    assert short.next_step == pytest.approx(long.ts[j + 1] - long.ts[j],
+                                            rel=1e-12)
+
+
+@pytest.mark.parametrize("y0", [np.array([0.3, -1.0]),
+                                np.array([[0.3, -1.0], [1.0, 0.5]])])
+def test_integrate_leaves_y0_unchanged(y0):
+    field = harmonic if y0.ndim == 1 else _oscillators(np.array([1.0, 2.0]))
+    before = y0.copy()
+    for first_step in (None, 0.1):
+        sol = integrate(OdeProblem(field, 0.0, 2.0, y0), first_step=first_step)
+        assert np.array_equal(y0, before)
+        assert not np.shares_memory(sol.ys, y0)
+
+
+def test_knots_are_distinct_states_not_workspace():
+    # each knot is the state the field saw at the end of its step, so the
+    # accepted states were not overwritten by later stages
+    cfg = SolverConfig(rtol=1e-8, atol=1e-10)
+    rec = _Recorder(_oscillators(np.array([1.0, 3.0])))
+    y0 = np.array([[1.0, 0.0], [0.0, 1.0]])
+    sol = integrate(OdeProblem(rec, 0.0, 2.0, y0), cfg, dense=False)
+    assert sol.step_count > 3
+    seen = {}
+    for t, state in zip(rec.times, rec.states):
+        seen.setdefault(t, []).append(state)
+    for t, y in zip(sol.ts[1:], sol.ys[1:]):
+        assert any(np.array_equal(y, s) for s in seen[t])
+    flat = sol.ys.reshape(len(sol.ys), -1)
+    assert len({row.tobytes() for row in flat}) == len(flat)
+    assert not any(np.shares_memory(sol.ys, a) for a in rec.arrays)
