@@ -28,8 +28,7 @@ from .picard import (IterationRecord, PicardResult, RunStatus,
                      SynthesisConfig, apply_map, control_energy,
                      endpoint_error, energy_certificate, fixed_point_error,
                      run_picard)
-from .quadrature import (QuadratureRule, cumulative_simpson,
-                         default_node_count, simpson_rule)
+from .quadrature import QuadratureRule, cumulative_simpson, simpson_rule
 from .systems import (ControlAffineSystem, SteeringProblem, drift_flow,
                       jacobian_fd, linear_system, make_benchmark, mindy_like)
 
@@ -47,11 +46,11 @@ __all__ = [
     "adapt_step", "apply_map", "assemble_mixed_from_samples",
     "assemble_symmetric_from_samples", "chain_input_products",
     "chebyshev_reference_control", "control_energy", "cumulative_simpson",
-    "default_node_count", "drift_flow", "endpoint_error",
-    "energy_certificate", "feedback_linearization_baseline",
-    "fixed_point_error", "flow_conjugate_profile", "flow_input_products",
-    "integrate", "jacobian_fd", "linear_system", "make_benchmark",
-    "mindy_like", "residual", "run_baseline", "run_picard", "run_reference",
-    "run_scale", "run_synthesize", "run_underactuated", "simpson_rule",
-    "solve_gramian", "solve_trajectory",
+    "drift_flow", "endpoint_error", "energy_certificate",
+    "feedback_linearization_baseline", "fixed_point_error",
+    "flow_conjugate_profile", "flow_input_products", "integrate",
+    "jacobian_fd", "linear_system", "make_benchmark", "mindy_like", "residual",
+    "run_baseline", "run_picard", "run_reference", "run_scale",
+    "run_synthesize", "run_underactuated", "simpson_rule", "solve_gramian",
+    "solve_trajectory",
 ]

@@ -25,8 +25,9 @@ class NonFiniteValue(GramsynthError):
     """A finite-difference probe produced NaN or Inf."""
 
 
-class InvalidQuadrature(GramsynthError):
-    """Simpson rule requested with an even or too-small node count."""
+class InvalidQuadrature(GramsynthError, ValueError):
+    """Simpson rule requested with a node count that is not an odd integer
+    >= 3 (a ValueError, so a config that sets one is a config error)."""
 
 
 class SingularGramian(GramsynthError):

@@ -11,6 +11,7 @@ solution when factorization fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -42,8 +43,8 @@ class GramianMatrix:
 class GramianSolve:
     """Multiplier solve result with solve diagnostics.
 
-    ``residual`` is against the unregularized Gramian (the quantity that
-    measures steering defect); ``residual_regularized`` is against
+    ``residual`` is against the unshifted Gramian (the quantity that
+    measures steering defect), also when the factorization was of
     G + reg*Id, with ``regularization`` the reg that was used.
     """
 
@@ -53,8 +54,17 @@ class GramianSolve:
     method: str  # "cholesky" | "lu" | "lstsq"
     condition_estimate: float
     deficient: bool
-    residual_regularized: float = 0.0
     regularization: float = 0.0
+
+
+# Per Gramian kind: the method name, the factor and solve pair, and the
+# exponent that turns the pivot ratio into a condition proxy (Cholesky
+# pivots are square roots of the matrix's scale).
+_FACTORIZATIONS = {
+    "symmetric": ("cholesky", scipy.linalg.cho_factor,
+                  scipy.linalg.cho_solve, 2),
+    "mixed": ("lu", scipy.linalg.lu_factor, scipy.linalg.lu_solve, 1),
+}
 
 
 def _weighted_outer_sum(weights, left, right):
@@ -90,7 +100,8 @@ def solve_gramian(G: GramianMatrix, y: np.ndarray,
     """Solve G lam = y through a factorization of G + reg*Id.
 
     Symmetric Gramians go through Cholesky, mixed ones through LU; if the
-    factorization fails, a minimum-norm least-squares solution is used.
+    factorization fails or its pivot-ratio condition proxy exceeds
+    ``CONDITION_LIMIT``, a minimum-norm least-squares solution is used.
     With reg > 0 the stabilized factorization is reused for iterative
     refinement against the unregularized Gramian, so a well-conditioned
     solve is not left with the O(reg*|lam|) bias of the shifted system
@@ -106,33 +117,18 @@ def solve_gramian(G: GramianMatrix, y: np.ndarray,
     M = G.matrix + reg * np.eye(G.d) if reg != 0.0 else G.matrix
 
     lam = None
-    method = None
-    condition = None
     solve_again = None
-    if G.kind == "symmetric":
-        try:
-            c, low = scipy.linalg.cho_factor(M, check_finite=False)
-            diag = np.abs(np.diag(c))
-            condition = float((diag.max() / diag.min()) ** 2)
+    method, factor, solve, power = _FACTORIZATIONS[G.kind]
+    try:
+        factors = factor(M, check_finite=False)
+        pivots = np.abs(np.diag(factors[0]))
+        if pivots.min() > 0.0:
+            condition = float((pivots.max() / pivots.min()) ** power)
             if condition <= CONDITION_LIMIT:
-                lam = scipy.linalg.cho_solve((c, low), y, check_finite=False)
-                solve_again = lambda r: scipy.linalg.cho_solve(  # noqa: E731
-                    (c, low), r, check_finite=False)
-                method = "cholesky"
-        except scipy.linalg.LinAlgError:
-            pass
-    else:
-        try:
-            lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
-            diag = np.abs(np.diag(lu))
-            if diag.min() > 0.0 and diag.max() <= CONDITION_LIMIT * diag.min():
-                lam = scipy.linalg.lu_solve((lu, piv), y, check_finite=False)
-                solve_again = lambda r: scipy.linalg.lu_solve(  # noqa: E731
-                    (lu, piv), r, check_finite=False)
-                condition = float(diag.max() / diag.min())
-                method = "lu"
-        except scipy.linalg.LinAlgError:
-            pass
+                solve_again = partial(solve, factors, check_finite=False)
+                lam = solve_again(y)
+    except scipy.linalg.LinAlgError:
+        pass
 
     if lam is None:
         lam, _, _, sv = np.linalg.lstsq(M, y, rcond=None)
@@ -145,13 +141,11 @@ def solve_gramian(G: GramianMatrix, y: np.ndarray,
         lam = _refine(G.matrix, y, lam, solve_again)
 
     res = float(np.linalg.norm(G.matrix @ lam - y))
-    res_reg = float(np.linalg.norm(M @ lam - y)) if reg != 0.0 else res
     ynorm = float(np.linalg.norm(y))
     rel = res / ynorm if ynorm > 0.0 else 0.0
     return GramianSolve(lam=lam, residual=res, rel_residual=rel,
                         method=method, condition_estimate=condition,
                         deficient=method == "lstsq" and rel > DEFICIENCY_TOL,
-                        residual_regularized=res_reg,
                         regularization=reg)
 
 

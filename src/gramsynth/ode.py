@@ -208,9 +208,6 @@ class DenseSolution:
             out[hit] = ys[knot[hit]]
         return out.reshape((t.size,) + self.ys.shape[1:])
 
-    def __call__(self, t):
-        return self.eval(t)
-
 
 def _weights(x):
     """Weights x, x(1-x), x^2(1-x), ..., x^4(1-x)^3 of a step's 7 rows.

@@ -11,8 +11,10 @@ keeps the residual and, if solved, the returned control's trajectory.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -24,13 +26,9 @@ from .flow import (Trajectory, chain_input_products, flow_input_products,
 from .gramian import (DEFICIENCY_TOL, assemble_mixed_from_samples,
                       assemble_symmetric_from_samples, solve_gramian)
 from .ode import SolverConfig
-from .quadrature import default_node_count, simpson_rule
+from .quadrature import check_node_count, simpson_rule
 
 MAP_KINDS = ("general", "minimum_energy")
-
-# Regularization kicks in by default at this state dimension.
-_REG_DIM_THRESHOLD = 64
-_DEFAULT_REG = 1e-6
 
 
 @dataclass(frozen=True)
@@ -38,38 +36,36 @@ class SynthesisConfig:
     """Settings of one Picard synthesis run.
 
     The anchor is set on the problem only (`SteeringProblem.anchor`,
-    ``system.params.anchor`` in a config).  ``quadrature_points`` (K) of
-    None picks 201/1001/5001 by dimension; the K quadrature nodes are also
-    the synthesized control's sample grid, which costs nothing beyond the
-    Gramian pass.  ``regularization`` of None means 0 below
-    dimension 64 and 1e-6 from 64 up.  The per-pass telemetry integrals
-    (``err_fp`` and the energy) use the 1001-point grids of
-    `fixed_point_error` and `control_energy`.
+    ``system.params.anchor`` in a config).  The ``quadrature_points`` (K)
+    Simpson nodes, an odd integer >= 3, are also the synthesized control's
+    sample grid, which costs nothing beyond the Gramian pass.  Each Gramian
+    is factorized with the shift ``regularization`` * Id (finite, >= 0); a
+    shifted solve is refined against the unshifted Gramian.  The per-pass
+    telemetry integrals (``err_fp`` and the energy) use the 1001-point grids
+    of `fixed_point_error` and `control_energy`.
     """
 
     map_kind: str = "general"
     n_max: int = 20
     eps_x: float = 1e-9
     eps_u: float = 1e-9
-    quadrature_points: Optional[int] = None
+    quadrature_points: int = 201
     solver: SolverConfig = field(default_factory=SolverConfig)
-    regularization: Optional[float] = None
+    regularization: float = 0.0
 
     def __post_init__(self):
         if self.map_kind not in MAP_KINDS:
             raise ValueError(f"map_kind must be one of {MAP_KINDS}")
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
+        if not isinstance(self.n_max, Integral) or self.n_max < 1:
+            raise ValueError(
+                f"n_max must be an integer >= 1, got {self.n_max!r}")
         if not (self.eps_x > 0 and self.eps_u > 0):
             raise ValueError("tolerances must be positive")
-
-    def resolved_points(self, d: int) -> int:
-        return self.quadrature_points or default_node_count(d)
-
-    def resolved_regularization(self, d: int) -> float:
-        if self.regularization is not None:
-            return self.regularization
-        return _DEFAULT_REG if d >= _REG_DIM_THRESHOLD else 0.0
+        check_node_count(self.quadrature_points)
+        reg = self.regularization
+        if not (isinstance(reg, Real) and math.isfinite(reg) and reg >= 0):
+            raise ValueError(
+                f"regularization must be a finite number >= 0, got {reg!r}")
 
 
 @dataclass(frozen=True)
@@ -128,10 +124,9 @@ def apply_map(problem, u: ControlFunction, config: SynthesisConfig,
 
     A rank-deficient Gramian does not raise; ``solve_info`` flags it.
     """
-    d = problem.system.d
     tau = problem.anchor_time
     traj = solve_trajectory(problem, u, config.solver)
-    rule = simpson_rule(problem.t0, problem.T, config.resolved_points(d))
+    rule = simpson_rule(problem.t0, problem.T, config.quadrature_points)
     D = flow_input_products(traj, rule.nodes, tau, config.solver)
     if config.map_kind == "general":
         rows = D
@@ -139,7 +134,7 @@ def apply_map(problem, u: ControlFunction, config: SynthesisConfig,
     else:
         rows = chain_input_products(traj, u, rule.nodes, tau, config.solver)
         gram = assemble_mixed_from_samples(D, rows, rule)
-    sol = solve_gramian(gram, y, reg=config.resolved_regularization(d))
+    sol = solve_gramian(gram, y, reg=config.regularization)
     return SynthesizedControl(
         lam=sol.lam, anchor_time=tau, map_kind=config.map_kind,
         grid_ts=rule.nodes, grid_values=np.einsum("kim,i->km", rows, sol.lam),

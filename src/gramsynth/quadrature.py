@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -26,10 +27,16 @@ class QuadratureRule:
         return float(self.nodes[-1])
 
 
+def check_node_count(K) -> None:
+    """Raise `InvalidQuadrature` unless K is an odd integer >= 3."""
+    if not isinstance(K, Integral) or K < 3 or K % 2 == 0:
+        raise InvalidQuadrature(
+            f"Simpson rule needs an odd integer K >= 3, got {K!r}")
+
+
 def simpson_rule(t0: float, T: float, K: int) -> QuadratureRule:
     """Composite Simpson rule with K nodes on [t0, T]; K must be odd, >= 3."""
-    if K < 3 or K % 2 == 0:
-        raise InvalidQuadrature(f"Simpson rule needs an odd K >= 3, got {K}")
+    check_node_count(K)
     nodes = np.linspace(t0, T, K)
     h = (T - t0) / (K - 1)
     weights = np.full(K, 2.0)
@@ -52,11 +59,3 @@ def cumulative_simpson(values: np.ndarray, rule: QuadratureRule) -> np.ndarray:
     np.cumsum(panels, axis=0, out=out[1:])
     return out
 
-
-def default_node_count(d: int) -> int:
-    """Quadrature resolution by state dimension: 201 / 1001 / 5001."""
-    if d <= 10:
-        return 201
-    if d <= 64:
-        return 1001
-    return 5001

@@ -217,8 +217,10 @@ def test_regularized_solve_is_refined():
     assert s.regularization == 1e-6
     assert np.max(np.abs(s.lam - exact)) < 1e-9
     assert s.residual < 1e-9 * np.linalg.norm(y)
-    assert s.residual_regularized == pytest.approx(
-        1e-6 * np.linalg.norm(s.lam), rel=1e-3)
+    # the refined lam solves the unshifted system, not the shifted one
+    shifted_res = np.linalg.norm((M + 1e-6 * np.eye(6)) @ s.lam - y)
+    assert shifted_res == pytest.approx(1e-6 * np.linalg.norm(s.lam),
+                                        rel=1e-3)
 
 
 def test_refinement_takes_more_than_one_step():

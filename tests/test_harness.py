@@ -66,6 +66,12 @@ def test_config_validation_errors():
         ExperimentConfig.from_dict({"scale": {"trials": 0}})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"scale": {"dims": [0]}})
+    # K is an odd integer >= 3, n_max an integer, the shift finite and >= 0
+    for synthesis in ({"quadrature_points": 0}, {"quadrature_points": 200},
+                      {"quadrature_points": 201.0}, {"n_max": 1.5},
+                      {"regularization": -1.0}, {"regularization": None}):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict({"synthesis": synthesis})
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")),

@@ -3,8 +3,10 @@
 Every name a module imports is referenced in it: a plain AST scan, so it
 needs no linter.  Package ``__init__.py`` files re-export by importing,
 and a line marked ``# noqa: F401`` is an intended re-export; both are
-exempt.  And ``import gramsynth`` loads no scipy beyond ``scipy.linalg``'s
-own needs.
+exempt.  Every module-level private name (``_x``) defined in
+``src/gramsynth`` is referenced somewhere in ``src/gramsynth``, so a
+deletion leaves no orphaned helper or constant behind.  And
+``import gramsynth`` loads no scipy beyond ``scipy.linalg``'s own needs.
 """
 
 import ast
@@ -43,6 +45,45 @@ def test_no_unused_imports():
     assert len(files) > 10
     unused = [hit for p in files for hit in _unused_imports(p)]
     assert unused == []
+
+
+def _private_definitions(tree):
+    """Module-level ``_x`` names bound by def, class or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target]
+            names.update(t.id for target in targets
+                         for t in ast.walk(target) if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _references(tree):
+    """Names read, attributes accessed and names imported in ``tree``."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def test_no_unreferenced_private_names():
+    trees = {p: ast.parse(p.read_text())
+             for p in sorted((ROOT / "src" / "gramsynth").glob("*.py"))}
+    referenced = set().union(*(_references(t) for t in trees.values()))
+    orphans = sorted(f"{p.relative_to(ROOT)}: {name}"
+                     for p, tree in trees.items()
+                     for name in _private_definitions(tree)
+                     if name not in referenced)
+    assert len(trees) > 10
+    assert orphans == []
 
 
 def test_import_leaves_heavy_scipy_subpackages_unloaded():

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from gramsynth import (SingularGramian, SteeringProblem, SynthesisConfig,
-                       ZeroControl, apply_map, control_energy, drift_flow,
-                       endpoint_error, energy_certificate, fixed_point_error,
-                       flow_input_products, linear_system, make_benchmark,
-                       residual, run_picard, solve_trajectory)
+from gramsynth import (InvalidQuadrature, SingularGramian, SteeringProblem,
+                       SynthesisConfig, ZeroControl, apply_map, control_energy,
+                       drift_flow, endpoint_error, energy_certificate,
+                       fixed_point_error, flow_input_products, linear_system,
+                       make_benchmark, residual, run_picard, solve_trajectory)
 from gramsynth.controls import ClosedFormControl
 from gramsynth.gramian import DEFICIENCY_TOL
 from tests.conftest import lti_min_energy_control
@@ -245,11 +245,19 @@ def test_synthesis_config_validation():
     with pytest.raises(ValueError):
         SynthesisConfig(eps_x=0.0)
     c = SynthesisConfig()
-    assert c.resolved_points(3) == 201
-    assert c.resolved_points(32) == 1001
-    assert c.resolved_points(100) == 5001
-    assert c.resolved_regularization(10) == 0.0
-    assert c.resolved_regularization(64) == 1e-6
+    assert c.quadrature_points == 201
+    assert c.regularization == 0.0
+    for K in (0, 1, 200, 201.0, "201", None):
+        with pytest.raises(InvalidQuadrature):   # a ValueError
+            SynthesisConfig(quadrature_points=K)
+    for n_max in (1.5, "20", None):
+        with pytest.raises(ValueError):
+            SynthesisConfig(n_max=n_max)
+    for reg in (-1.0, float("nan"), float("inf"), None, "1e-6"):
+        with pytest.raises(ValueError):
+            SynthesisConfig(regularization=reg)
+    c = SynthesisConfig(quadrature_points=np.int64(5), regularization=1)
+    assert c.quadrature_points == 5 and c.regularization == 1
 
 
 # ---------------------------------------------------------------------------
