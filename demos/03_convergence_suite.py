@@ -3,8 +3,10 @@
 Runs every desk-scale catalog system for a fixed iteration budget and
 prints the per-iteration endpoint error, mirroring the convergence study
 that motivates the fixed-point scheme: iteration counts track
-controllability structure (the driftless unicycle is near-immediate, the
-underactuated Hopfield needs more passes than the fully actuated one).
+controllability structure (the driftless unicycle is near-immediate).
+With Anderson mixing the underactuated Hopfield network reaches 1e-8 in
+as many passes as the fully actuated one; plain Picard needed 15 against
+11.
 """
 
 from gramsynth import SolverConfig, SynthesisConfig, make_benchmark, run_picard

@@ -8,7 +8,8 @@ a cubic spline held as a (4, K-1, k) coefficient array, built here the
 way scipy's `CubicSpline` builds it, so no scipy spline object (and no
 `scipy.interpolate`) is needed: `eval_many` evaluates a sample grid in one
 vectorized pass, bit-identical to `CubicSpline`, and a scalar call reads
-the interval's cubic straight from the coefficient array.
+the interval's cubic straight from the coefficient array, summing its
+terms in the same order, so both paths give the same bits.
 """
 
 from __future__ import annotations
@@ -117,6 +118,11 @@ class SynthesizedControl(ControlFunction):
     control is the cubic spline through them, kept only as its
     coefficient array ``_coef`` (4, K-1, k), and the end cubics
     extrapolate.
+
+    An Anderson-mixed Picard iterate (`run_picard`) holds an affine
+    combination of several passes' node values, and its ``lam`` is the
+    same affine combination of those passes' multipliers; its
+    ``solve_info`` is the solve of the pass that formed it.
     """
 
     def __init__(self, lam: np.ndarray, anchor_time: float, map_kind: str,
@@ -146,9 +152,14 @@ class SynthesizedControl(ControlFunction):
         if i < len(knots) and knots[i] == t:
             return self.grid_values[i].copy()
         i = min(max(i - 1, 0), len(knots) - 2)   # end cubics extrapolate
-        dx = t - knots[i]
-        dx2 = dx * dx
-        return np.array((dx2 * dx, dx2, dx, 1.0)) @ self._coef[:, i]
+        z = t - knots[i]
+        z2 = z * z
+        z3 = z2 * z
+        # eval_many's terms in its order, so both paths agree bit for bit;
+        # in float arithmetic per channel, which beats numpy's per-call
+        # overhead at the few channels a right-hand side asks for
+        return np.array([c2 * z + c3 + c1 * z2 + c0 * z3 for c0, c1, c2, c3
+                         in self._coef[:, i].T.tolist()])
 
     def eval_many(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float).ravel()

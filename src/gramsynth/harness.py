@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -172,6 +173,8 @@ class RunArtifact:
 
 
 def _fmt(v):
+    if v is None:
+        return ""
     return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
 
 
@@ -193,6 +196,13 @@ def _sample_table(ts, values, key: str) -> dict:
     """A table with columns t, key1, key2, ... of sampled vectors."""
     return {"columns": ["t"] + [f"{key}{i + 1}" for i in range(len(values[0]))],
             "rows": [[t] + list(v) for t, v in zip(ts, values)]}
+
+
+def _telemetry(records) -> List[dict]:
+    """The per-pass records as dicts, a value the pass did not measure
+    (NaN) as None, so JSON writes null and reads it back equal."""
+    return [{k: None if isinstance(v, float) and math.isnan(v) else v
+             for k, v in asdict(r).items()} for r in records]
 
 
 def _status(status: RunStatus, success: Optional[bool] = None) -> dict:
@@ -259,7 +269,7 @@ def run_synthesize(cfg: ExperimentConfig) -> RunArtifact:
     return RunArtifact(
         command="synthesize", config=cfg.echo(),
         status=_status(status),
-        telemetry=[asdict(r) for r in result.records], summary=summary,
+        telemetry=_telemetry(result.records), summary=summary,
         **samples)
 
 
@@ -423,7 +433,7 @@ def run_underactuated(cfg: ExperimentConfig) -> RunArtifact:
     return RunArtifact(
         command="underactuated", config=cfg.echo(),
         status=_status(status, status.success and reduced),
-        telemetry=[asdict(r) for r in result.records], summary=summary,
+        telemetry=_telemetry(result.records), summary=summary,
         extra_tables={"reference_control": _sample_table(
             ts, u_ref.eval_many(ts), "u")},
         **samples)

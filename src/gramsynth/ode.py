@@ -303,7 +303,10 @@ def integrate(problem: OdeProblem, config: SolverConfig = SolverConfig(),
 
         K[0] = f_cur
         for s in range(1, n_stages):
-            np.matmul(K[:s].T, A[s, :s], out=stage)
+            if s == 1:   # one term, which matmul would sum without BLAS
+                np.multiply(K[0], A[1, 0], out=stage)
+            else:
+                np.matmul(K[:s].T, A[s, :s], out=stage)
             stage *= h
             stage += y
             K[s] = fun(t + C[s] * h, stage)

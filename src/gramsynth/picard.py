@@ -4,9 +4,10 @@
 pass: solve the state equation, sample the Jacobian-input products at the
 quadrature nodes, assemble the Gramian, solve for the multiplier, and form
 the updated control pointwise from the product rows.  `run_picard` iterates
-it, records per-pass telemetry, stops on the iteration budget, endpoint
-tolerance or control-update tolerance, and returns a `PicardResult` that
-keeps the residual and, if solved, the returned control's trajectory.
+it with type-II Anderson mixing, records per-pass telemetry, stops on the
+iteration budget, endpoint tolerance or control-update tolerance, and
+returns a `PicardResult` that keeps the residual and, if solved, the
+returned control's trajectory.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ from .ode import SolverConfig
 from .quadrature import check_node_count, simpson_rule
 
 MAP_KINDS = ("general", "minimum_energy")
+
+# Differences that the Anderson mixing of `run_picard` combines.
+ANDERSON_MEMORY = 3
 
 
 @dataclass(frozen=True)
@@ -70,7 +74,15 @@ class SynthesisConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """Telemetry of one Picard pass."""
+    """Telemetry of one Picard pass.
+
+    ``err_end`` is the endpoint error of the pass's iterate u_n, ``energy``
+    its E(u_n) and ``wall_time`` the pass's time up to this record.
+    ``err_fp`` is sup |F(u_n) - u_n| on the 1001-point grid and
+    ``gramian_condition`` the condition estimate of the pass's Gramian;
+    a pass that stops on the endpoint tolerance applies no map, so both
+    are NaN in its record.
+    """
 
     n: int
     err_end: float
@@ -87,7 +99,7 @@ class RunStatus:
 
     criterion: str          # endpoint_tolerance | control_update_tolerance | max_iterations
     iterations: int
-    initial_gramian_ok: bool
+    initial_gramian_ok: Optional[bool]   # None: no Gramian was solved
     message: str = ""
 
     @property
@@ -116,6 +128,30 @@ class PicardResult:
         return iter((self.control, self.records, self.status))
 
 
+def _map_values(problem, traj: Trajectory, config: SynthesisConfig,
+                y: np.ndarray):
+    """F(u) for u = ``traj.control``: the quadrature nodes, the pointwise
+    formula's values there (K, k) and the multiplier solve."""
+    tau = problem.anchor_time
+    rule = simpson_rule(problem.t0, problem.T, config.quadrature_points)
+    D = flow_input_products(traj, rule.nodes, tau, config.solver)
+    if config.map_kind == "general":
+        rows = D
+        gram = assemble_symmetric_from_samples(D, rule)
+    else:
+        rows = chain_input_products(traj, traj.control, rule.nodes, tau,
+                                    config.solver)
+        gram = assemble_mixed_from_samples(D, rows, rule)
+    sol = solve_gramian(gram, y, reg=config.regularization)
+    return rule.nodes, np.einsum("kim,i->km", rows, sol.lam), sol
+
+
+def _control(problem, config, nodes, values, lam, sol) -> SynthesizedControl:
+    return SynthesizedControl(
+        lam=lam, anchor_time=problem.anchor_time, map_kind=config.map_kind,
+        grid_ts=nodes, grid_values=values, solve_info=sol)
+
+
 def apply_map(problem, u: ControlFunction, config: SynthesisConfig,
               y: np.ndarray) -> Tuple[SynthesizedControl, Trajectory]:
     """One application of the ``config.map_kind`` map to u, with the
@@ -124,21 +160,54 @@ def apply_map(problem, u: ControlFunction, config: SynthesisConfig,
 
     A rank-deficient Gramian does not raise; ``solve_info`` flags it.
     """
-    tau = problem.anchor_time
     traj = solve_trajectory(problem, u, config.solver)
-    rule = simpson_rule(problem.t0, problem.T, config.quadrature_points)
-    D = flow_input_products(traj, rule.nodes, tau, config.solver)
-    if config.map_kind == "general":
-        rows = D
-        gram = assemble_symmetric_from_samples(D, rule)
-    else:
-        rows = chain_input_products(traj, u, rule.nodes, tau, config.solver)
-        gram = assemble_mixed_from_samples(D, rows, rule)
-    sol = solve_gramian(gram, y, reg=config.regularization)
-    return SynthesizedControl(
-        lam=sol.lam, anchor_time=tau, map_kind=config.map_kind,
-        grid_ts=rule.nodes, grid_values=np.einsum("kim,i->km", rows, sol.lam),
-        solve_info=sol), traj
+    nodes, values, sol = _map_values(problem, traj, config, y)
+    return _control(problem, config, nodes, values, sol.lam, sol), traj
+
+
+class _AndersonMixer:
+    """Type-II Anderson mixing of the Picard iterates' node values
+    (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011).
+
+    A call takes an iterate's node values u, the map's values F(u) there
+    and its multiplier lam.  It returns the next iterate's values and
+    multiplier, g - dG gamma with g = (F(u), lam) and gamma the
+    least-squares solution of dF gamma = F(u) - u over the last
+    `ANDERSON_MEMORY` differences dF of the residuals and dG of g; so the
+    multiplier is the same affine combination of the pass multipliers as
+    the values are of the pass values.  The first call has no difference
+    yet and returns None.
+
+    The differences live in two preallocated rings.  Once a call has used
+    its oldest difference, that slot holds the call's (f, g) until the
+    next call subtracts it from its own, so no other copy is kept, and
+    nothing aliases the caller's arrays.
+    """
+
+    def __init__(self, n_values: int, n_lam: int):
+        self._df = np.empty((ANDERSON_MEMORY, n_values))
+        self._dg = np.empty((ANDERSON_MEMORY, n_values + n_lam))
+        self._calls = 0
+
+    def __call__(self, u: np.ndarray, values: np.ndarray, lam: np.ndarray):
+        f = (values - u).ravel()
+        g = np.concatenate((values.ravel(), lam))
+        c = self._calls
+        df, dg = self._df, self._dg
+        mixed = None
+        if c:
+            slot = (c - 1) % ANDERSON_MEMORY
+            np.subtract(f, df[slot], out=df[slot])
+            np.subtract(g, dg[slot], out=dg[slot])
+            cols = min(c, ANDERSON_MEMORY)
+            gamma = np.linalg.lstsq(df[:cols].T, f, rcond=None)[0]
+            g_mixed = g - gamma @ dg[:cols]
+            mixed = (g_mixed[:values.size].reshape(values.shape),
+                     g_mixed[values.size:])
+        df[c % ANDERSON_MEMORY] = f
+        dg[c % ANDERSON_MEMORY] = g
+        self._calls += 1
+        return mixed
 
 
 def endpoint_error(traj: Trajectory, x1: np.ndarray) -> float:
@@ -179,7 +248,16 @@ def diverging(err_trace) -> bool:
 
 def run_picard(problem, config: SynthesisConfig = SynthesisConfig(),
                u0: Optional[ControlFunction] = None) -> PicardResult:
-    """Picard iteration of the selected synthesis map from u0 (default zero).
+    """Anderson-mixed Picard iteration of the selected map from u0
+    (default zero).
+
+    Pass n solves the trajectory of u_n and stops on ``eps_x`` before any
+    product is sampled; then it applies the map, giving F(u_n) and its
+    multiplier, stops on ``eps_u`` (returning F(u_n)), and forms u_{n+1}
+    by type-II Anderson mixing of the node values (`_AndersonMixer`),
+    with the multipliers combined by the same affine coefficients.  Pass
+    0's pair is left out of the mixing history, so u_1 = F(u_0) and u_2 =
+    F(u_1) as in plain Picard.
 
     This is the one place that decides on rank deficiency, which
     `solve_gramian` only flags: at the initial iterate the minimum-norm
@@ -195,11 +273,26 @@ def run_picard(problem, config: SynthesisConfig = SynthesisConfig(),
 
     records: List[IterationRecord] = []
     err_trace: List[float] = []
+    initial_ok = None
+    mixer = _AndersonMixer(config.quadrature_points * problem.system.k,
+                           problem.system.d)
 
     for n in range(config.n_max):
         tic = time.perf_counter()
-        u_next, traj = apply_map(problem, u, config, y)
-        sol = u_next.solve_info
+        traj = solve_trajectory(problem, u, config.solver)
+        err_end = endpoint_error(traj, problem.x1)
+        energy = control_energy(u, problem.t0, problem.T)
+        if err_end <= config.eps_x:
+            # the map is not applied: err_fp and the condition are unmeasured
+            records.append(IterationRecord(
+                n=n, err_end=err_end, err_fp=math.nan, energy=energy,
+                energy_sq_norm=2.0 * energy, gramian_condition=math.nan,
+                wall_time=time.perf_counter() - tic))
+            return PicardResult(u, records, RunStatus(
+                "endpoint_tolerance", n + 1, initial_ok,
+                f"err_end={err_end:.3e} <= {config.eps_x:g}"), y, traj)
+
+        nodes, values, sol = _map_values(problem, traj, config, y)
         if n == 0:
             initial_ok = not sol.deficient
         elif sol.deficient:
@@ -207,21 +300,15 @@ def run_picard(problem, config: SynthesisConfig = SynthesisConfig(),
                 f"least-squares residual {sol.rel_residual:.3e} of |y| "
                 f"exceeds {DEFICIENCY_TOL:g}: Gramian not coercive on this "
                 "iterate", residual=sol.residual, rel_residual=sol.rel_residual)
-        err_end = endpoint_error(traj, problem.x1)
-        err_fp = fixed_point_error(u_next, u)
-        energy = control_energy(u, problem.t0, problem.T)
-        wall = time.perf_counter() - tic
+        update = _control(problem, config, nodes, values, sol.lam, sol)
+        err_fp = fixed_point_error(update, u)
         records.append(IterationRecord(
             n=n, err_end=err_end, err_fp=err_fp, energy=energy,
             energy_sq_norm=2.0 * energy,
-            gramian_condition=sol.condition_estimate, wall_time=wall))
-
-        if err_end <= config.eps_x:
-            return PicardResult(u, records, RunStatus(
-                "endpoint_tolerance", n + 1, initial_ok,
-                f"err_end={err_end:.3e} <= {config.eps_x:g}"), y, traj)
+            gramian_condition=sol.condition_estimate,
+            wall_time=time.perf_counter() - tic))
         if err_fp <= config.eps_u:
-            return PicardResult(u_next, records, RunStatus(
+            return PicardResult(update, records, RunStatus(
                 "control_update_tolerance", n + 1, initial_ok,
                 f"err_fp={err_fp:.3e} <= {config.eps_u:g}"), y, None)
 
@@ -231,7 +318,13 @@ def run_picard(problem, config: SynthesisConfig = SynthesisConfig(),
             raise PicardDiverged(
                 f"err_end grew from {e[0]:.3e} to {e[3]:.3e} over three "
                 "consecutive iterations")
-        u = u_next
+
+        if n > 0:   # pass 0's pair, from u0, stays out of the history
+            mixed = mixer(u.eval_many(nodes), values, sol.lam)
+            if mixed is not None:
+                del update   # F(u_n)'s spline, so the mixed one reuses it
+                update = _control(problem, config, nodes, *mixed, sol)
+        u = update
 
     return PicardResult(u, records, RunStatus(
         "max_iterations", config.n_max, initial_ok,

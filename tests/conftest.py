@@ -61,3 +61,15 @@ def lti_min_energy_control(A, B, x0, x1, t0, T):
         return B.T @ expm(A.T * (T - t)) @ lam
 
     return u, W, lam
+
+
+def counted_calls(monkeypatch, module, name):
+    """Calls of ``module.name`` from now on, one list entry per call."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls

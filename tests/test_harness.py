@@ -13,6 +13,7 @@ from gramsynth import flow, harness
 from gramsynth.cli import main as cli_main
 from gramsynth.harness import (run_baseline, run_reference, run_scale,
                                run_synthesize, run_underactuated)
+from tests.conftest import counted_calls
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -118,6 +119,24 @@ def test_artifact_json_roundtrip_bit_exact(tmp_path):
     assert loaded.summary == art.summary
     assert loaded.control_samples == art.control_samples
     assert loaded.trajectory_samples == art.trajectory_samples
+
+
+def test_endpoint_stop_artifact_roundtrip(tmp_path):
+    # the stopping pass applies no map: its err_fp and gramian_condition
+    # are NaN in the record, null in summary.json, empty in telemetry.csv
+    cfg = ExperimentConfig.from_json(str(CONFIGS / "unicycle.json"))
+    art = run_synthesize(cfg)
+    assert art.status["criterion"] == "endpoint_tolerance"
+    last = art.telemetry[-1]
+    assert last["err_fp"] is None and last["gramian_condition"] is None
+    assert all(r["err_fp"] is not None for r in art.telemetry[:-1])
+    path = art.save(str(tmp_path / "out"))
+    loaded = RunArtifact.load(path)
+    assert loaded.telemetry == art.telemetry
+    with open(tmp_path / "out" / "telemetry.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[-1]["err_fp"] == "" and rows[-1]["gramian_condition"] == ""
+    assert float(rows[-1]["err_end"]) == last["err_end"]
 
 
 def test_csv_floats_roundtrip(tmp_path):
@@ -289,23 +308,11 @@ def test_scale_and_underactuated_reject_a_system_section(tmp_path):
                 run(_cfg(tmp_path, base={"system": system, **section}))
 
 
-def _counted(monkeypatch, module, name):
-    """Calls of ``module.name`` from now on, one list entry per call."""
-    calls, real = [], getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 def test_synthesize_reuses_the_runs_solves(tmp_path, monkeypatch):
     # run_picard keeps the residual and, when it stops on the endpoint
     # tolerance, the trajectory of the control it returns
-    steer = _counted(monkeypatch, harness, "solve_trajectory")
-    drift = _counted(monkeypatch, flow, "drift_flow")
+    steer = counted_calls(monkeypatch, harness, "solve_trajectory")
+    drift = counted_calls(monkeypatch, flow, "drift_flow")
     art = run_synthesize(ExperimentConfig.from_json(
         str(CONFIGS / "unicycle.json")))
     assert art.status["criterion"] == "endpoint_tolerance"

@@ -9,9 +9,10 @@ from gramsynth import (InvalidQuadrature, SingularGramian, SteeringProblem,
                        drift_flow, endpoint_error, energy_certificate,
                        fixed_point_error, flow_input_products, linear_system,
                        make_benchmark, residual, run_picard, solve_trajectory)
+from gramsynth import picard
 from gramsynth.controls import ClosedFormControl
 from gramsynth.gramian import DEFICIENCY_TOL
-from tests.conftest import lti_min_energy_control
+from tests.conftest import counted_calls, lti_min_energy_control
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +322,103 @@ def test_certificate_at_fixed_point(paper_solver):
     u = result.control
     E = control_energy(u, 0.0, 1.5)
     assert abs(0.5 * float(y @ u.lam) - E) <= 1e-4 * E
+
+
+# ---------------------------------------------------------------------------
+# Anderson mixing
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mixing_solves_an_affine_contraction(n):
+    # x -> A x + b: mixing with memory >= n reaches the fixed point to
+    # rounding within n + 2 map applications; the carried entries
+    # (here C g + e) follow the same affine combination
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, n))
+    A *= 0.8 / np.linalg.norm(A, 2)
+    b = rng.standard_normal(n)
+    C, e = rng.standard_normal((2, n)), rng.standard_normal(2)
+    x_star = np.linalg.solve(np.eye(n) - A, b)
+    mixer, x = picard._AndersonMixer(n, 2), np.zeros(n)
+    for applications in range(1, 6):
+        g = A @ x + b
+        mixed = mixer(x, g, C @ g + e)
+        if mixed is None:
+            x = g
+            continue
+        x, carried = mixed
+        assert np.allclose(carried, C @ x + e, rtol=0, atol=1e-13)
+        if np.max(np.abs(x - x_star)) <= 1e-13:
+            break
+    assert np.max(np.abs(x - x_star)) <= 1e-13
+    assert applications <= n + 2
+
+
+def test_run_picard_leaves_a_synthesized_u0_unchanged(paper_solver):
+    system, problem = make_benchmark("hopfield2d_full")
+    cfg = SynthesisConfig(quadrature_points=101, solver=paper_solver, n_max=5,
+                          eps_x=1e-14, eps_u=1e-14)
+    u0, _ = _map(problem, ZeroControl(2, (problem.t0, problem.T)), cfg)
+    values, lam = u0.grid_values.copy(), u0.lam.copy()
+    result = run_picard(problem, cfg, u0)
+    assert result.status.criterion == "max_iterations"
+    assert np.array_equal(u0.grid_values, values)
+    assert np.array_equal(u0.lam, lam)
+
+
+# Passes of plain Picard iteration (no mixing) on the acceptance suite's
+# runs: eps_x = eps_u = 1e-11, n_max 25, paper solver.
+PLAIN_PICARD_PASSES = {
+    ("unicycle", "general"): 3, ("unicycle", "minimum_energy"): 21,
+    ("pendulum", "general"): 10, ("pendulum", "minimum_energy"): 8,
+    ("sir", "general"): 25, ("sir", "minimum_energy"): 24,
+    ("spacecraft", "general"): 18, ("spacecraft", "minimum_energy"): 12,
+    ("hopfield2d_full", "general"): 16,
+    ("hopfield2d_full", "minimum_energy"): 20,
+    ("hopfield2d_under", "general"): 23,
+    ("hopfield2d_under", "minimum_energy"): 23,
+}
+
+
+@pytest.mark.parametrize("name,kind", sorted(PLAIN_PICARD_PASSES))
+def test_mixing_needs_no_more_passes_than_plain_picard(name, kind,
+                                                       paper_solver):
+    system, problem = make_benchmark(name)
+    cfg = SynthesisConfig(
+        map_kind=kind, solver=paper_solver, n_max=25, eps_x=1e-11,
+        eps_u=1e-11,
+        quadrature_points=401 if name in ("unicycle", "pendulum") else 201)
+    status = run_picard(problem, cfg).status
+    assert status.success
+    assert status.iterations <= PLAIN_PICARD_PASSES[name, kind]
+
+
+def test_endpoint_stop_applies_no_map(paper_solver, monkeypatch):
+    # the stopping pass checks the endpoint before sampling any product
+    calls = counted_calls(monkeypatch, picard, "flow_input_products")
+    system, problem = make_benchmark("unicycle")
+    cfg = SynthesisConfig(quadrature_points=401, solver=paper_solver,
+                          eps_x=1e-10)
+    result = run_picard(problem, cfg)
+    assert result.status.criterion == "endpoint_tolerance"
+    assert len(calls) == result.status.iterations - 1
+    last = result.records[-1]
+    assert np.isnan(last.err_fp) and np.isnan(last.gramian_condition)
+    assert last.err_end <= cfg.eps_x and last.wall_time > 0.0
+    assert last.energy == control_energy(result.control, 0.0, 2.0)
+    for r in result.records[:-1]:
+        assert np.isfinite(r.err_fp) and np.isfinite(r.gramian_condition)
+
+
+def test_control_update_stop_applies_the_map_every_pass(lti_pair,
+                                                        tight_solver,
+                                                        monkeypatch):
+    calls = counted_calls(monkeypatch, picard, "flow_input_products")
+    A, B, system, problem = lti_pair
+    cfg = SynthesisConfig(quadrature_points=1001, solver=tight_solver,
+                          eps_x=1e-13, eps_u=1e-8)
+    result = run_picard(problem, cfg)
+    assert result.status.criterion == "control_update_tolerance"
+    assert len(calls) == result.status.iterations == 2
 
 
 def test_divergence_guard_rule():
