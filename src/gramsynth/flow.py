@@ -29,7 +29,8 @@ from .systems import ControlAffineSystem, SteeringProblem, drift_flow
 
 # The costate is read between steps from the degree-7 dense interpolant,
 # one order less accurate than the step itself, so its solve runs at this
-# fraction of the configured rtol and atol.
+# fraction of the products' rtol and atol: the configured ones, or those
+# of a Picard pass whose products are loosened to its endpoint error.
 _COSTATE_TOL_FACTOR = 1e-2
 
 # Elements (rows x (d + d*m)) of one lockstep variational batch.  One pass

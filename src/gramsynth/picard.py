@@ -4,17 +4,18 @@
 pass: solve the state equation, sample the Jacobian-input products at the
 quadrature nodes, assemble the Gramian, solve for the multiplier, and form
 the updated control pointwise from the product rows.  `run_picard` iterates
-it with type-II Anderson mixing, records per-pass telemetry, stops on the
-iteration budget, endpoint tolerance or control-update tolerance, and
-returns a `PicardResult` that keeps the residual and, if solved, the
-returned control's trajectory.
+it with type-II Anderson mixing, solving each pass's products only as
+accurately as the pass's endpoint error needs, records per-pass
+telemetry, stops on the iteration budget, endpoint tolerance or
+control-update tolerance, and returns a `PicardResult` that keeps the
+residual and, if solved, the returned control's trajectory.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from numbers import Integral, Real
 from typing import List, Optional, Tuple
 
@@ -34,6 +35,13 @@ MAP_KINDS = ("general", "minimum_energy")
 # Differences that the Anderson mixing of `run_picard` combines.
 ANDERSON_MEMORY = 3
 
+# From pass 1 on, `run_picard` solves a pass's products at rtol
+# max(rtol, this fraction of the pass's endpoint error), atol scaled alike
+# (an inexact pass: Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal.
+# 19(2), 1982; with Anderson mixing, Toth et al., SIAM J. Sci. Comput.
+# 39(5), 2017).
+_PRODUCT_TOL_FRACTION = 1e-2
+
 
 @dataclass(frozen=True)
 class SynthesisConfig:
@@ -47,6 +55,12 @@ class SynthesisConfig:
     shifted solve is refined against the unshifted Gramian.  The per-pass
     telemetry integrals (``err_fp`` and the energy) use the 1001-point grids
     of `fixed_point_error` and `control_energy`.
+
+    ``solver`` is the tolerance of every trajectory and residual solve, so
+    every endpoint error, and of pass 0's and `apply_map`'s products.  From
+    pass 1 on, `run_picard` solves the products at the looser of ``solver``
+    and 1e-2 of the pass's endpoint error, and stops on ``eps_u`` only
+    after a pass whose products ran at ``solver``.
     """
 
     map_kind: str = "general"
@@ -78,10 +92,11 @@ class IterationRecord:
 
     ``err_end`` is the endpoint error of the pass's iterate u_n, ``energy``
     its E(u_n) and ``wall_time`` the pass's time up to this record.
-    ``err_fp`` is sup |F(u_n) - u_n| on the 1001-point grid and
-    ``gramian_condition`` the condition estimate of the pass's Gramian;
-    a pass that stops on the endpoint tolerance applies no map, so both
-    are NaN in its record.
+    ``err_fp`` is sup |F(u_n) - u_n| on the 1001-point grid,
+    ``gramian_condition`` the condition estimate of the pass's Gramian and
+    ``product_rtol`` the rtol its flow and chain products were solved at;
+    a pass that stops on the endpoint tolerance applies no map, so all
+    three are NaN in its record.
     """
 
     n: int
@@ -90,6 +105,7 @@ class IterationRecord:
     energy: float
     energy_sq_norm: float
     gramian_condition: float
+    product_rtol: float
     wall_time: float
 
 
@@ -129,18 +145,19 @@ class PicardResult:
 
 
 def _map_values(problem, traj: Trajectory, config: SynthesisConfig,
-                y: np.ndarray):
-    """F(u) for u = ``traj.control``: the quadrature nodes, the pointwise
-    formula's values there (K, k) and the multiplier solve."""
+                y: np.ndarray, solver: SolverConfig):
+    """F(u) for u = ``traj.control``, its products solved at ``solver``:
+    the quadrature nodes, the pointwise formula's values there (K, k) and
+    the multiplier solve."""
     tau = problem.anchor_time
     rule = simpson_rule(problem.t0, problem.T, config.quadrature_points)
-    D = flow_input_products(traj, rule.nodes, tau, config.solver)
+    D = flow_input_products(traj, rule.nodes, tau, solver)
     if config.map_kind == "general":
         rows = D
         gram = assemble_symmetric_from_samples(D, rule)
     else:
         rows = chain_input_products(traj, traj.control, rule.nodes, tau,
-                                    config.solver)
+                                    solver)
         gram = assemble_mixed_from_samples(D, rows, rule)
     sol = solve_gramian(gram, y, reg=config.regularization)
     return rule.nodes, np.einsum("kim,i->km", rows, sol.lam), sol
@@ -158,10 +175,11 @@ def apply_map(problem, u: ControlFunction, config: SynthesisConfig,
     problem's residual y given: the updated control, sampled at the
     quadrature nodes, and the trajectory of u.
 
-    A rank-deficient Gramian does not raise; ``solve_info`` flags it.
+    Every solve runs at ``config.solver``.  A rank-deficient Gramian does
+    not raise; ``solve_info`` flags it.
     """
     traj = solve_trajectory(problem, u, config.solver)
-    nodes, values, sol = _map_values(problem, traj, config, y)
+    nodes, values, sol = _map_values(problem, traj, config, y, config.solver)
     return _control(problem, config, nodes, values, sol.lam, sol), traj
 
 
@@ -259,6 +277,18 @@ def run_picard(problem, config: SynthesisConfig = SynthesisConfig(),
     0's pair is left out of the mixing history, so u_1 = F(u_0) and u_2 =
     F(u_1) as in plain Picard.
 
+    The map is evaluated inexactly far from the target: from pass 1 on,
+    the products are solved at rtol max(rtol, c err_end_n), with c =
+    `_PRODUCT_TOL_FRACTION` and atol scaled by the same factor.  Three
+    solves keep ``config.solver``: the trajectory and residual solves, so
+    every ``err_end`` and endpoint stop is measured as configured; pass
+    0's products, since a map that does not depend on u (a linear system)
+    must give F(u_0) exactly for ``eps_u`` to fire at n = 1; and
+    `apply_map`.  An ``eps_u`` stop is taken only from a pass whose
+    products ran at ``config.solver``, so the returned F(u_n) is as
+    accurate as configured; an endpoint stop is certified by its
+    trajectory solve.
+
     This is the one place that decides on rank deficiency, which
     `solve_gramian` only flags: at the initial iterate the minimum-norm
     least-squares solve proceeds and is reported via
@@ -287,12 +317,17 @@ def run_picard(problem, config: SynthesisConfig = SynthesisConfig(),
             records.append(IterationRecord(
                 n=n, err_end=err_end, err_fp=math.nan, energy=energy,
                 energy_sq_norm=2.0 * energy, gramian_condition=math.nan,
-                wall_time=time.perf_counter() - tic))
+                product_rtol=math.nan, wall_time=time.perf_counter() - tic))
             return PicardResult(u, records, RunStatus(
                 "endpoint_tolerance", n + 1, initial_ok,
                 f"err_end={err_end:.3e} <= {config.eps_x:g}"), y, traj)
 
-        nodes, values, sol = _map_values(problem, traj, config, y)
+        solver = config.solver
+        factor = _PRODUCT_TOL_FRACTION * err_end / solver.rtol
+        if n > 0 and factor > 1.0:   # pass 0's products stay exact
+            solver = replace(solver, rtol=solver.rtol * factor,
+                             atol=solver.atol * factor)
+        nodes, values, sol = _map_values(problem, traj, config, y, solver)
         if n == 0:
             initial_ok = not sol.deficient
         elif sol.deficient:
@@ -306,8 +341,9 @@ def run_picard(problem, config: SynthesisConfig = SynthesisConfig(),
             n=n, err_end=err_end, err_fp=err_fp, energy=energy,
             energy_sq_norm=2.0 * energy,
             gramian_condition=sol.condition_estimate,
-            wall_time=time.perf_counter() - tic))
-        if err_fp <= config.eps_u:
+            product_rtol=solver.rtol, wall_time=time.perf_counter() - tic))
+        # a loosened pass's F(u_n) is not accurate enough to return
+        if err_fp <= config.eps_u and solver is config.solver:
             return PicardResult(update, records, RunStatus(
                 "control_update_tolerance", n + 1, initial_ok,
                 f"err_fp={err_fp:.3e} <= {config.eps_u:g}"), y, None)

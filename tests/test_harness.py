@@ -100,7 +100,7 @@ def test_synthesize_artifact_files(tmp_path):
     with open(out / "telemetry.csv") as fh:
         header = fh.readline().strip().split(",")
     assert header == ["n", "err_end", "err_fp", "energy", "energy_sq_norm",
-                      "gramian_condition", "wall_time"]
+                      "gramian_condition", "product_rtol", "wall_time"]
     with open(out / "control.csv") as fh:
         assert fh.readline().strip().split(",") == ["t", "u1", "u2"]
     with open(out / "trajectory.csv") as fh:
@@ -122,20 +122,24 @@ def test_artifact_json_roundtrip_bit_exact(tmp_path):
 
 
 def test_endpoint_stop_artifact_roundtrip(tmp_path):
-    # the stopping pass applies no map: its err_fp and gramian_condition
-    # are NaN in the record, null in summary.json, empty in telemetry.csv
+    # the stopping pass applies no map: its err_fp, gramian_condition and
+    # product_rtol are NaN in the record, null in summary.json, empty in
+    # telemetry.csv
     cfg = ExperimentConfig.from_json(str(CONFIGS / "unicycle.json"))
     art = run_synthesize(cfg)
     assert art.status["criterion"] == "endpoint_tolerance"
     last = art.telemetry[-1]
     assert last["err_fp"] is None and last["gramian_condition"] is None
-    assert all(r["err_fp"] is not None for r in art.telemetry[:-1])
+    assert last["product_rtol"] is None
+    assert all(r["err_fp"] is not None and r["product_rtol"] is not None
+               for r in art.telemetry[:-1])
     path = art.save(str(tmp_path / "out"))
     loaded = RunArtifact.load(path)
     assert loaded.telemetry == art.telemetry
     with open(tmp_path / "out" / "telemetry.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert rows[-1]["err_fp"] == "" and rows[-1]["gramian_condition"] == ""
+    assert rows[-1]["product_rtol"] == ""
     assert float(rows[-1]["err_end"]) == last["err_end"]
 
 

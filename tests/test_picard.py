@@ -209,7 +209,7 @@ def test_records_are_finite_and_ordered(paper_solver):
     assert [r.n for r in records] == list(range(len(records)))
     for r in records:
         for v in (r.err_end, r.err_fp, r.energy, r.energy_sq_norm,
-                  r.gramian_condition, r.wall_time):
+                  r.gramian_condition, r.product_rtol, r.wall_time):
             assert np.isfinite(v) and v >= 0.0
         assert r.energy_sq_norm == pytest.approx(2.0 * r.energy)
 
@@ -403,6 +403,7 @@ def test_endpoint_stop_applies_no_map(paper_solver, monkeypatch):
     assert len(calls) == result.status.iterations - 1
     last = result.records[-1]
     assert np.isnan(last.err_fp) and np.isnan(last.gramian_condition)
+    assert np.isnan(last.product_rtol)
     assert last.err_end <= cfg.eps_x and last.wall_time > 0.0
     assert last.energy == control_energy(result.control, 0.0, 2.0)
     for r in result.records[:-1]:
@@ -419,6 +420,74 @@ def test_control_update_stop_applies_the_map_every_pass(lti_pair,
     result = run_picard(problem, cfg)
     assert result.status.criterion == "control_update_tolerance"
     assert len(calls) == result.status.iterations == 2
+
+
+# ---------------------------------------------------------------------------
+# product tolerances tied to the endpoint error
+
+def _product_solvers(monkeypatch):
+    """The solver handed to each flow- and chain-product call from now on."""
+    flow = counted_calls(monkeypatch, picard, "flow_input_products")
+    chain = counted_calls(monkeypatch, picard, "chain_input_products")
+    return flow, chain
+
+
+def test_pass_zero_and_apply_map_use_the_configured_solver(paper_solver,
+                                                           monkeypatch):
+    system, problem = make_benchmark("hopfield2d_full")
+    cfg = SynthesisConfig(map_kind="minimum_energy", quadrature_points=101,
+                          solver=paper_solver, n_max=1, eps_x=1e-14,
+                          eps_u=1e-14)
+    flow, chain = _product_solvers(monkeypatch)
+    run_picard(problem, cfg)
+    _map(problem, ZeroControl(2, (problem.t0, problem.T)), cfg)
+    assert len(flow) == len(chain) == 2
+    assert all(args[-1] is cfg.solver for args in flow + chain)
+
+
+def test_loose_pass_scales_rtol_and_atol_by_one_factor(paper_solver,
+                                                       monkeypatch):
+    system, problem = make_benchmark("hopfield2d_full")
+    cfg = SynthesisConfig(map_kind="minimum_energy", quadrature_points=101,
+                          solver=paper_solver, n_max=2, eps_x=1e-14,
+                          eps_u=1e-14)
+    flow, chain = _product_solvers(monkeypatch)
+    records = run_picard(problem, cfg).records
+    loose = picard._PRODUCT_TOL_FRACTION * records[1].err_end
+    assert loose > paper_solver.rtol
+    solver = flow[1][-1]
+    assert chain[1][-1] is solver
+    assert solver.rtol == pytest.approx(loose, rel=1e-15)
+    assert solver.atol / paper_solver.atol == pytest.approx(
+        solver.rtol / paper_solver.rtol, rel=1e-15)
+    assert solver.max_steps == paper_solver.max_steps
+    assert [r.product_rtol for r in records] == [paper_solver.rtol,
+                                                 solver.rtol]
+
+
+def test_control_update_stop_waits_for_a_configured_tolerance_pass(
+        paper_solver, monkeypatch):
+    # every pass after the first reports a converged control update; the
+    # run must still go on until its products run at the configured rtol
+    real, calls = picard.fixed_point_error, []
+
+    def fake(u_next, u):
+        calls.append(u_next)
+        return real(u_next, u) if len(calls) == 1 else 0.0
+
+    monkeypatch.setattr(picard, "fixed_point_error", fake)
+    system, problem = make_benchmark("hopfield2d_full")
+    cfg = SynthesisConfig(map_kind="minimum_energy", quadrature_points=101,
+                          solver=paper_solver, n_max=20, eps_x=1e-14,
+                          eps_u=1e-9)
+    result = run_picard(problem, cfg)
+    records = result.records
+    assert result.status.criterion == "control_update_tolerance"
+    assert len(records) > 2
+    assert records[-1].product_rtol == paper_solver.rtol
+    assert all(r.product_rtol > paper_solver.rtol for r in records[1:-1])
+    assert (picard._PRODUCT_TOL_FRACTION * records[-1].err_end
+            <= paper_solver.rtol)
 
 
 def test_divergence_guard_rule():
