@@ -8,7 +8,11 @@ Two matrix-valued products feed the Gramians:
   become rows of one lockstep batch solve.  Consecutive batches have
   nearly the same spans, so each batch after the first is warm-started
   from the step its predecessor's controller proposed last, and only the
-  first pays the starting-step warm-up.
+  first pays the starting-step warm-up.  The products are smooth in t,
+  so `sampled_products` solves them at N+1 Chebyshev-Lobatto points
+  (N = 32, doubled while the Chebyshev tail is above the products' rtol)
+  and interpolates them onto the K quadrature nodes; K still counts the
+  Simpson nodes of the Gramians and the control's sample grid.
 * chain products -- the closed-loop state-transition matrix R_u(T,t)
   times B, pushed through the drift variational equation back to the
   anchor.  R_u(T,t) is the Pontryagin costate, so one dense backward
@@ -17,6 +21,7 @@ Two matrix-valued products feed the Gramians:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -40,6 +45,12 @@ _COSTATE_TOL_FACTOR = 1e-2
 # adds stage and knot arrays, so the smallest fast size: 2**15 elements,
 # 7 rows at d=64 and whole 201-node grids at d=2.
 _BATCH_ELEMENTS = 2 ** 15
+
+# Degree of the first Chebyshev-Lobatto grid of `sampled_products`.
+_LOBATTO_DEGREE = 32
+# `sampled_products` accepts a grid whose top ceil(N/8) Chebyshev
+# coefficients are at most this fraction of rtol * max|D|.
+_TAIL_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -158,6 +169,91 @@ def flow_input_products(traj: Trajectory, ts, tau: float,
             block[moving], step = _drift_variational(
                 sys_, t[moving], tau, x[moving], block[moving], config, step)
     return out
+
+
+def lobatto_points(t0: float, T: float, N: int) -> np.ndarray:
+    """The N+1 Chebyshev-Lobatto points of [t0, T], ascending.
+
+    Both ends are exact, and the degree-N grid is the even-indexed half
+    of the degree-2N grid bit for bit: doubling N doubles both the
+    numerator and the denominator of every angle.
+    """
+    ts = t0 + (T - t0) * np.sin(np.pi * np.arange(N + 1) / (2 * N)) ** 2
+    ts[-1] = T
+    return ts
+
+
+def barycentric_matrix(grid: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """(len(ts), N+1) matrix M such that M @ f(grid) interpolates f at ts.
+
+    Barycentric Lagrange interpolation in the second form with the
+    Chebyshev-Lobatto weights (-1)^j, halved at the ends (Berrut &
+    Trefethen, SIAM Review 46(3), 2004); a t on the grid gets a unit row.
+    """
+    w = np.where(np.arange(grid.size) % 2, -1.0, 1.0)
+    w[[0, -1]] *= 0.5
+    diff = ts[:, None] - grid[None, :]
+    on_grid = diff == 0.0
+    diff[on_grid] = 1.0
+    M = w / diff
+    M /= M.sum(axis=1, keepdims=True)
+    hits = on_grid.any(axis=1)
+    M[hits] = on_grid[hits]
+    return M
+
+
+def chebyshev_tail(values: np.ndarray) -> float:
+    """Largest |c_n| over the top ceil(N/8) Chebyshev degrees n <= N of the
+    interpolant through ``values`` at the N+1 Lobatto points (leading
+    axis), from the rows of the (N+1)^2 cosine (DCT-I) matrix."""
+    N = values.shape[0] - 1
+    n = np.arange(N - math.ceil(N / 8) + 1, N + 1)
+    # n j reduced mod 2N keeps the cosine arguments in [0, 2 pi)
+    C = np.cos(np.pi * (np.outer(n, np.arange(N + 1)) % (2 * N)) / N)
+    C[:, [0, -1]] *= 0.5
+    C[n == N] *= 0.5
+    coeffs = (2.0 / N) * (C @ values.reshape(N + 1, -1))
+    return float(np.max(np.abs(coeffs)))
+
+
+def sampled_products(products, nodes, rtol: float):
+    """``products`` at ``nodes`` from samples on a Chebyshev-Lobatto grid.
+
+    ``products(ts)`` returns the products at ts, shape (len(ts), d, k);
+    ``nodes`` run from t0 to T.  The products are solved at the N+1
+    Lobatto points of [t0, T], N = `_LOBATTO_DEGREE`, and the grid is
+    accepted when its top Chebyshev coefficients (`chebyshev_tail`) are
+    at most `_TAIL_FRACTION` * rtol * max|D|; else N doubles, and since
+    the grids are nested only the N new points are solved.  An accepted
+    grid is interpolated onto the nodes with one barycentric matrix
+    product.  When the next grid would hold len(nodes) or more points the
+    products are solved at the nodes directly.
+
+    Returns (D at the nodes, the number of samples D came from: N+1 or
+    len(nodes), the accepted tail relative to max|D|: 0 for a direct
+    solve).
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    K, N = nodes.size, _LOBATTO_DEGREE
+    if N + 1 >= K:
+        return products(nodes), K, 0.0
+    grid = lobatto_points(nodes[0], nodes[-1], N)
+    values = products(grid)
+    while True:
+        scale = float(np.max(np.abs(values)))
+        tail = chebyshev_tail(values)
+        if tail <= _TAIL_FRACTION * rtol * scale:
+            D = barycentric_matrix(grid, nodes) @ values.reshape(N + 1, -1)
+            return (D.reshape((K,) + values.shape[1:]), N + 1,
+                    tail / scale if scale > 0.0 else 0.0)
+        if 2 * N + 1 >= K:
+            return products(nodes), K, 0.0
+        N *= 2
+        grid = lobatto_points(nodes[0], nodes[-1], N)
+        finer = np.empty((N + 1,) + values.shape[1:])
+        finer[::2] = values
+        finer[1::2] = products(grid[1::2])
+        values = finer
 
 
 def _costate_rhs(s, lam_flat, traj, u, d):

@@ -2,8 +2,9 @@
 
 `apply_map` applies the map named by ``SynthesisConfig.map_kind`` in one
 pass: solve the state equation, sample the Jacobian-input products at the
-quadrature nodes, assemble the Gramian, solve for the multiplier, and form
-the updated control pointwise from the product rows.  `run_picard` iterates
+quadrature nodes (the flow products interpolated from a Chebyshev-Lobatto
+grid), assemble the Gramian, solve for the multiplier, and form the
+updated control pointwise from the product rows.  `run_picard` iterates
 it with type-II Anderson mixing, solving each pass's products only as
 accurately as the pass's endpoint error needs, records per-pass
 telemetry, stops on the iteration budget, endpoint tolerance or
@@ -24,7 +25,7 @@ import numpy as np
 from .controls import ControlFunction, SynthesizedControl, ZeroControl
 from .errors import PicardDiverged, SingularGramian
 from .flow import (Trajectory, chain_input_products, flow_input_products,
-                   residual, solve_trajectory)
+                   residual, sampled_products, solve_trajectory)
 from .gramian import (DEFICIENCY_TOL, assemble_mixed_from_samples,
                       assemble_symmetric_from_samples, solve_gramian)
 from .ode import SolverConfig
@@ -50,7 +51,12 @@ class SynthesisConfig:
     The anchor is set on the problem only (`SteeringProblem.anchor`,
     ``system.params.anchor`` in a config).  The ``quadrature_points`` (K)
     Simpson nodes, an odd integer >= 3, are also the synthesized control's
-    sample grid, which costs nothing beyond the Gramian pass.  Each Gramian
+    sample grid, which costs nothing beyond the Gramian pass.  K does not
+    set how many flow products are solved: a pass solves them on a
+    Chebyshev-Lobatto grid of 33 points, doubled while its Chebyshev
+    tail is above the pass's product rtol, and interpolates them onto the
+    K nodes, or solves them at the K nodes when the next grid would hold
+    K points or more (`flow.sampled_products`).  Each Gramian
     is factorized with the shift ``regularization`` * Id (finite, >= 0); a
     shifted solve is refined against the unshifted Gramian.  The per-pass
     telemetry integrals (``err_fp`` and the energy) use the 1001-point grids
@@ -94,9 +100,12 @@ class IterationRecord:
     its E(u_n) and ``wall_time`` the pass's time up to this record.
     ``err_fp`` is sup |F(u_n) - u_n| on the 1001-point grid,
     ``gramian_condition`` the condition estimate of the pass's Gramian and
-    ``product_rtol`` the rtol its flow and chain products were solved at;
-    a pass that stops on the endpoint tolerance applies no map, so all
-    three are NaN in its record.
+    ``product_rtol`` the rtol its flow and chain products were solved at.
+    ``product_nodes`` is the number of flow-product samples its products
+    came from (N+1 Chebyshev-Lobatto points, or K on a direct solve) and
+    ``interp_estimate`` is the accepted grid's Chebyshev tail relative to
+    max|D| (0 on a direct solve).  A pass that stops on the endpoint
+    tolerance applies no map, so these five are NaN in its record.
     """
 
     n: int
@@ -106,6 +115,8 @@ class IterationRecord:
     energy_sq_norm: float
     gramian_condition: float
     product_rtol: float
+    product_nodes: float
+    interp_estimate: float
     wall_time: float
 
 
@@ -147,11 +158,19 @@ class PicardResult:
 def _map_values(problem, traj: Trajectory, config: SynthesisConfig,
                 y: np.ndarray, solver: SolverConfig):
     """F(u) for u = ``traj.control``, its products solved at ``solver``:
-    the quadrature nodes, the pointwise formula's values there (K, k) and
-    the multiplier solve."""
+    the quadrature nodes, the pointwise formula's values there (K, k), the
+    multiplier solve, and the flow products' sample count and relative
+    interpolation estimate (`sampled_products`).
+
+    The flow products are solved on a Chebyshev-Lobatto grid sized to
+    ``solver.rtol`` and interpolated onto the K Simpson nodes; the chain
+    products are read at the nodes from the costate.
+    """
     tau = problem.anchor_time
     rule = simpson_rule(problem.t0, problem.T, config.quadrature_points)
-    D = flow_input_products(traj, rule.nodes, tau, solver)
+    D, solved, estimate = sampled_products(
+        lambda ts: flow_input_products(traj, ts, tau, solver), rule.nodes,
+        solver.rtol)
     if config.map_kind == "general":
         rows = D
         gram = assemble_symmetric_from_samples(D, rule)
@@ -160,7 +179,8 @@ def _map_values(problem, traj: Trajectory, config: SynthesisConfig,
                                     solver)
         gram = assemble_mixed_from_samples(D, rows, rule)
     sol = solve_gramian(gram, y, reg=config.regularization)
-    return rule.nodes, np.einsum("kim,i->km", rows, sol.lam), sol
+    return (rule.nodes, np.einsum("kim,i->km", rows, sol.lam), sol, solved,
+            estimate)
 
 
 def _control(problem, config, nodes, values, lam, sol) -> SynthesizedControl:
@@ -179,7 +199,8 @@ def apply_map(problem, u: ControlFunction, config: SynthesisConfig,
     not raise; ``solve_info`` flags it.
     """
     traj = solve_trajectory(problem, u, config.solver)
-    nodes, values, sol = _map_values(problem, traj, config, y, config.solver)
+    nodes, values, sol, *_ = _map_values(problem, traj, config, y,
+                                         config.solver)
     return _control(problem, config, nodes, values, sol.lam, sol), traj
 
 
@@ -317,7 +338,9 @@ def run_picard(problem, config: SynthesisConfig = SynthesisConfig(),
             records.append(IterationRecord(
                 n=n, err_end=err_end, err_fp=math.nan, energy=energy,
                 energy_sq_norm=2.0 * energy, gramian_condition=math.nan,
-                product_rtol=math.nan, wall_time=time.perf_counter() - tic))
+                product_rtol=math.nan, product_nodes=math.nan,
+                interp_estimate=math.nan,
+                wall_time=time.perf_counter() - tic))
             return PicardResult(u, records, RunStatus(
                 "endpoint_tolerance", n + 1, initial_ok,
                 f"err_end={err_end:.3e} <= {config.eps_x:g}"), y, traj)
@@ -327,7 +350,8 @@ def run_picard(problem, config: SynthesisConfig = SynthesisConfig(),
         if n > 0 and factor > 1.0:   # pass 0's products stay exact
             solver = replace(solver, rtol=solver.rtol * factor,
                              atol=solver.atol * factor)
-        nodes, values, sol = _map_values(problem, traj, config, y, solver)
+        nodes, values, sol, solved, estimate = _map_values(
+            problem, traj, config, y, solver)
         if n == 0:
             initial_ok = not sol.deficient
         elif sol.deficient:
@@ -341,7 +365,8 @@ def run_picard(problem, config: SynthesisConfig = SynthesisConfig(),
             n=n, err_end=err_end, err_fp=err_fp, energy=energy,
             energy_sq_norm=2.0 * energy,
             gramian_condition=sol.condition_estimate,
-            product_rtol=solver.rtol, wall_time=time.perf_counter() - tic))
+            product_rtol=solver.rtol, product_nodes=solved,
+            interp_estimate=estimate, wall_time=time.perf_counter() - tic))
         # a loosened pass's F(u_n) is not accurate enough to return
         if err_fp <= config.eps_u and solver is config.solver:
             return PicardResult(update, records, RunStatus(

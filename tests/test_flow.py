@@ -1,4 +1,7 @@
-"""Trajectory solves, variational products, and the flow-conjugate identity."""
+"""Trajectory solves, variational products, their Chebyshev-Lobatto
+sampling, and the flow-conjugate identity."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +11,11 @@ from scipy.linalg import expm
 from gramsynth import (SteeringProblem, ZeroControl, chain_input_products,
                        flow_conjugate_profile, flow_input_products,
                        drift_flow, linear_system, make_benchmark, residual,
-                       solve_trajectory)
+                       run_picard, simpson_rule, solve_trajectory)
 from gramsynth import flow
 from gramsynth.controls import ClosedFormControl
+from tests.test_acceptance import suite_run
+from tests.test_default_node_count import CATALOG, _network_cases
 
 
 def _const_control(k, value):
@@ -375,3 +380,140 @@ def test_flow_conjugate_profile_matches_single_checks(tight_solver):
     assert np.all(defects < 1e-6)
     with pytest.raises(ValueError):
         flow_conjugate_profile(problem, traj, [41], tight_solver, nodes=201)
+
+
+# ---------------------------------------------------------------------------
+# flow products sampled on a Chebyshev-Lobatto grid
+
+def test_lobatto_grids_are_nested_and_hold_both_ends():
+    t0, T = 0.37, 2.91
+    for N in (8, 32, 64, 128):
+        coarse = flow.lobatto_points(t0, T, N)
+        fine = flow.lobatto_points(t0, T, 2 * N)
+        assert np.array_equal(fine[::2], coarse)
+        for grid in (coarse, fine):
+            assert grid[0] == t0 and grid[-1] == T
+            assert np.all(np.diff(grid) > 0.0)
+
+
+def test_barycentric_matrix_reproduces_degree_n_polynomials():
+    t0, T, N = 0.37, 2.91, 32
+    grid = flow.lobatto_points(t0, T, N)
+    nodes = simpson_rule(t0, T, 201).nodes   # holds t0, T and interior hits
+    coeffs = np.random.default_rng(3).standard_normal((N + 1, 2))
+
+    def poly(t):
+        x = (2.0 * t - (t0 + T)) / (T - t0)
+        return np.polynomial.chebyshev.chebval(x, coeffs).T
+
+    M = flow.barycentric_matrix(grid, nodes)
+    assert np.max(np.abs(M @ poly(grid) - poly(nodes))) <= 1e-12
+    # the degree-N coefficient is read back, the top-degree tail of a
+    # lower degree is rounding
+    assert flow.chebyshev_tail(poly(grid)) == pytest.approx(
+        np.max(np.abs(coeffs[-1])), rel=1e-12)
+    low = coeffs.copy()
+    low[N - N // 8 + 1:] = 0.0
+    assert flow.chebyshev_tail(
+        np.polynomial.chebyshev.chebval(
+            (2.0 * grid - (t0 + T)) / (T - t0), low).T) <= 1e-13
+
+
+def _pendulum_products(tight_solver):
+    system, problem = make_benchmark("pendulum")
+    u = ClosedFormControl(lambda t: np.array([np.sin(2.0 * t)]), k=1,
+                          span=(problem.t0, problem.T))
+    traj = solve_trajectory(problem, u, tight_solver)
+    return problem, (lambda ts: flow_input_products(
+        traj, ts, problem.T, tight_solver))
+
+
+def test_few_nodes_are_solved_directly(tight_solver):
+    problem, products = _pendulum_products(tight_solver)
+    for K in (3, 31, flow._LOBATTO_DEGREE + 1):
+        nodes = simpson_rule(problem.t0, problem.T, K).nodes
+        D, solved, estimate = flow.sampled_products(products, nodes, 1e-10)
+        assert np.array_equal(D, products(nodes))
+        assert (solved, estimate) == (K, 0.0)
+
+
+def test_smooth_products_come_from_the_first_grid(tight_solver):
+    problem, products = _pendulum_products(tight_solver)
+    nodes = simpson_rule(problem.t0, problem.T, 201).nodes
+    D, solved, estimate = flow.sampled_products(products, nodes, 1e-10)
+    assert solved == flow._LOBATTO_DEGREE + 1
+    assert estimate <= flow._TAIL_FRACTION * 1e-10
+    direct = products(nodes)
+    assert np.max(np.abs(D - direct)) <= 1e-10 * np.max(np.abs(direct))
+
+
+def test_kinked_products_double_the_grid_until_solved_directly(
+        paper_solver):
+    # the steering input jumps at t = 1, so the heading has a kink and the
+    # products' Chebyshev tail decays only like n^-2: every grid is
+    # refused, each doubling solves only its new points, and the nodes
+    # are solved directly once the next grid would hold K of them
+    system, problem = make_benchmark("unicycle")
+    u = ClosedFormControl(lambda t: np.array([1.0, 1.0 if t < 1.0 else -1.0]),
+                          k=2, span=(problem.t0, problem.T))
+    traj = solve_trajectory(problem, u, paper_solver)
+    sizes = []
+
+    def products(ts):
+        sizes.append(len(ts))
+        return flow_input_products(traj, ts, problem.T, paper_solver)
+
+    nodes = simpson_rule(problem.t0, problem.T, 401).nodes
+    D, solved, estimate = flow.sampled_products(products, nodes,
+                                                paper_solver.rtol)
+    assert sizes == [33, 32, 64, 128, 401]
+    assert (solved, estimate) == (401, 0.0)
+    assert np.array_equal(D, flow_input_products(traj, nodes, problem.T,
+                                                 paper_solver))
+
+
+def _converged_cases():
+    """Every catalog system under both maps at its converged acceptance
+    suite control, and the d = 24 underactuated network at its converged
+    control."""
+    for name in CATALOG:
+        for kind in ("general", "minimum_energy"):
+            run = suite_run(name, kind)
+            yield (f"{name}/{kind}", run["problem"], run["config"], run["u"],
+                   run["records"])
+    label, problem, config = next(_network_cases())
+    result = run_picard(problem, config)
+    yield label, problem, config, result.control, result.records
+
+
+def test_sampled_products_match_direct_solves_across_the_catalog():
+    # at every product tolerance a pass of the run used, the interpolated
+    # products agree with the products solved at the nodes within
+    # rtol * max|D|
+    worst, solved = {}, {}
+    for label, problem, config, u, records in _converged_cases():
+        traj = solve_trajectory(problem, u, config.solver)
+        nodes = simpson_rule(problem.t0, problem.T,
+                             config.quadrature_points).nodes
+        scale = config.solver.atol / config.solver.rtol
+        for rtol in {r.product_rtol for r in records
+                     if np.isfinite(r.product_rtol)}:
+            solver = replace(config.solver, rtol=rtol, atol=rtol * scale)
+
+            def products(ts):
+                return flow_input_products(traj, ts, problem.anchor_time,
+                                           solver)
+
+            D, n, _ = flow.sampled_products(products, nodes, rtol)
+            direct = products(nodes)
+            ratio = (np.max(np.abs(D - direct))
+                     / (rtol * np.max(np.abs(direct))))
+            worst[label] = max(worst.get(label, 0.0), ratio)
+            if rtol == config.solver.rtol:
+                solved[label] = n
+    report = ", ".join(f"{label} {r:.2f}" for label, r in worst.items())
+    assert len(worst) == 2 * len(CATALOG) + 1
+    assert max(worst.values()) <= 1.0, report
+    # 33 Lobatto points leave sir's general-map products 1.7 rtol off
+    # while their tail reads 0.15 rtol: the tail bound must refuse them
+    assert solved["sir/general"] > flow._LOBATTO_DEGREE + 1, report

@@ -100,7 +100,8 @@ def test_synthesize_artifact_files(tmp_path):
     with open(out / "telemetry.csv") as fh:
         header = fh.readline().strip().split(",")
     assert header == ["n", "err_end", "err_fp", "energy", "energy_sq_norm",
-                      "gramian_condition", "product_rtol", "wall_time"]
+                      "gramian_condition", "product_rtol", "product_nodes",
+                      "interp_estimate", "wall_time"]
     with open(out / "control.csv") as fh:
         assert fh.readline().strip().split(",") == ["t", "u1", "u2"]
     with open(out / "trajectory.csv") as fh:
@@ -122,16 +123,20 @@ def test_artifact_json_roundtrip_bit_exact(tmp_path):
 
 
 def test_endpoint_stop_artifact_roundtrip(tmp_path):
-    # the stopping pass applies no map: its err_fp, gramian_condition and
-    # product_rtol are NaN in the record, null in summary.json, empty in
-    # telemetry.csv
+    # the stopping pass applies no map: its err_fp, gramian_condition,
+    # product_rtol, product_nodes and interp_estimate are NaN in the
+    # record, null in summary.json, empty in telemetry.csv
     cfg = ExperimentConfig.from_json(str(CONFIGS / "unicycle.json"))
     art = run_synthesize(cfg)
     assert art.status["criterion"] == "endpoint_tolerance"
     last = art.telemetry[-1]
     assert last["err_fp"] is None and last["gramian_condition"] is None
-    assert last["product_rtol"] is None
+    unmeasured = ("product_rtol", "product_nodes", "interp_estimate")
+    assert all(last[key] is None for key in unmeasured)
     assert all(r["err_fp"] is not None and r["product_rtol"] is not None
+               for r in art.telemetry[:-1])
+    assert all(isinstance(r["product_nodes"], int)
+               and r["interp_estimate"] is not None
                for r in art.telemetry[:-1])
     path = art.save(str(tmp_path / "out"))
     loaded = RunArtifact.load(path)
@@ -139,7 +144,7 @@ def test_endpoint_stop_artifact_roundtrip(tmp_path):
     with open(tmp_path / "out" / "telemetry.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert rows[-1]["err_fp"] == "" and rows[-1]["gramian_condition"] == ""
-    assert rows[-1]["product_rtol"] == ""
+    assert all(rows[-1][key] == "" for key in unmeasured)
     assert float(rows[-1]["err_end"]) == last["err_end"]
 
 

@@ -11,6 +11,7 @@ from gramsynth import (InvalidQuadrature, SingularGramian, SteeringProblem,
                        make_benchmark, residual, run_picard, solve_trajectory)
 from gramsynth import picard
 from gramsynth.controls import ClosedFormControl
+from gramsynth.flow import sampled_products
 from gramsynth.gramian import DEFICIENCY_TOL
 from tests.conftest import counted_calls, lti_min_energy_control
 
@@ -62,9 +63,13 @@ def _exact_general_control(u1, traj0, ts, solver):
 def test_synthesized_grid_values_match_exact_formula(lti_map_output,
                                                      paper_solver):
     # grid nodes carry the exact pointwise product formula, over the
-    # products of the map's own grid solve
+    # map's own products: sampled on its Lobatto grid, interpolated onto
+    # the nodes
     u1, traj0, problem = lti_map_output
-    D = flow_input_products(traj0, u1.grid_ts, u1.anchor_time, paper_solver)
+    D, _, _ = sampled_products(
+        lambda ts: flow_input_products(traj0, ts, u1.anchor_time,
+                                       paper_solver),
+        u1.grid_ts, paper_solver.rtol)
     for j in range(0, len(u1.grid_ts), 200):
         exact = D[j].T @ u1.lam
         assert np.max(np.abs(u1(float(u1.grid_ts[j])) - exact)) < 1e-12
@@ -209,7 +214,8 @@ def test_records_are_finite_and_ordered(paper_solver):
     assert [r.n for r in records] == list(range(len(records)))
     for r in records:
         for v in (r.err_end, r.err_fp, r.energy, r.energy_sq_norm,
-                  r.gramian_condition, r.product_rtol, r.wall_time):
+                  r.gramian_condition, r.product_rtol, r.product_nodes,
+                  r.interp_estimate, r.wall_time):
             assert np.isfinite(v) and v >= 0.0
         assert r.energy_sq_norm == pytest.approx(2.0 * r.energy)
 
@@ -403,7 +409,8 @@ def test_endpoint_stop_applies_no_map(paper_solver, monkeypatch):
     assert len(calls) == result.status.iterations - 1
     last = result.records[-1]
     assert np.isnan(last.err_fp) and np.isnan(last.gramian_condition)
-    assert np.isnan(last.product_rtol)
+    assert np.isnan(last.product_rtol) and np.isnan(last.product_nodes)
+    assert np.isnan(last.interp_estimate)
     assert last.err_end <= cfg.eps_x and last.wall_time > 0.0
     assert last.energy == control_energy(result.control, 0.0, 2.0)
     for r in result.records[:-1]:
