@@ -11,8 +11,11 @@ Two matrix-valued products feed the Gramians:
   first pays the starting-step warm-up.  The products are smooth in t,
   so `sampled_products` solves them at N+1 Chebyshev-Lobatto points
   (N = 32, doubled while the Chebyshev tail is above the products' rtol)
-  and interpolates them onto the K quadrature nodes; K still counts the
-  Simpson nodes of the Gramians and the control's sample grid.
+  and returns those samples with the barycentric matrix that maps them
+  onto the K quadrature nodes.  The products at the nodes are never
+  formed: the Gramian and the control's node values are contracted from
+  the samples, and K still counts the Simpson nodes of the Gramians and
+  the control's sample grid.
 * chain products -- the closed-loop state-transition matrix R_u(T,t)
   times B, pushed through the drift variational equation back to the
   anchor.  R_u(T,t) is the Pontryagin costate, so one dense backward
@@ -217,37 +220,37 @@ def chebyshev_tail(values: np.ndarray) -> float:
 
 
 def sampled_products(products, nodes, rtol: float):
-    """``products`` at ``nodes`` from samples on a Chebyshev-Lobatto grid.
+    """Samples of ``products`` that determine them at ``nodes``.
 
     ``products(ts)`` returns the products at ts, shape (len(ts), d, k);
     ``nodes`` run from t0 to T.  The products are solved at the N+1
     Lobatto points of [t0, T], N = `_LOBATTO_DEGREE`, and the grid is
     accepted when its top Chebyshev coefficients (`chebyshev_tail`) are
     at most `_TAIL_FRACTION` * rtol * max|D|; else N doubles, and since
-    the grids are nested only the N new points are solved.  An accepted
-    grid is interpolated onto the nodes with one barycentric matrix
-    product.  When the next grid would hold len(nodes) or more points the
-    products are solved at the nodes directly.
+    the grids are nested only the N new points are solved.  When the next
+    grid would hold len(nodes) or more points the products are solved at
+    the nodes directly.
 
-    Returns (D at the nodes, the number of samples D came from: N+1 or
-    len(nodes), the accepted tail relative to max|D|: 0 for a direct
-    solve).
+    Returns (V, M, tail): the samples V, shape (N+1, d, k); the
+    (len(nodes), N+1) `barycentric_matrix` M, so that the products at the
+    nodes are M @ V over the leading axis; and the accepted tail relative
+    to max|D|.  On a direct solve V holds the products at the nodes, M is
+    None (the identity, not formed) and the tail is 0.
     """
     nodes = np.asarray(nodes, dtype=float)
     K, N = nodes.size, _LOBATTO_DEGREE
     if N + 1 >= K:
-        return products(nodes), K, 0.0
+        return products(nodes), None, 0.0
     grid = lobatto_points(nodes[0], nodes[-1], N)
     values = products(grid)
     while True:
         scale = float(np.max(np.abs(values)))
         tail = chebyshev_tail(values)
         if tail <= _TAIL_FRACTION * rtol * scale:
-            D = barycentric_matrix(grid, nodes) @ values.reshape(N + 1, -1)
-            return (D.reshape((K,) + values.shape[1:]), N + 1,
+            return (values, barycentric_matrix(grid, nodes),
                     tail / scale if scale > 0.0 else 0.0)
         if 2 * N + 1 >= K:
-            return products(nodes), K, 0.0
+            return products(nodes), None, 0.0
         N *= 2
         grid = lobatto_points(nodes[0], nodes[-1], N)
         finer = np.empty((N + 1,) + values.shape[1:])

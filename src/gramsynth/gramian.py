@@ -1,15 +1,18 @@
 """Gramian assembly by Simpson quadrature and the associated linear solves.
 
-The symmetric Gramian integrates outer products of the flow-input samples
-(and is explicitly symmetrized before factorization); the mixed Gramian
-pairs flow-input rows with chain-input columns and is generally
-non-symmetric.  Solves go through Cholesky (symmetric) or partial-pivot LU
-(mixed) on G + eps*Id, falling back to a minimum-norm least-squares
-solution when factorization fails.
+The symmetric Gramian integrates outer products of the flow-input
+products (and is explicitly symmetrized before factorization); the mixed
+Gramian pairs flow-input rows with chain-input columns and is generally
+non-symmetric.  When the flow products are interpolated from Lobatto
+samples, the Simpson rule over the nodes is carried onto the samples, so
+the products at the nodes are never formed.  Solves go through Cholesky
+(symmetric) or partial-pivot LU (mixed) on G + eps*Id, falling back to a
+minimum-norm least-squares solution when factorization fails.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import partial
 
@@ -68,30 +71,49 @@ _FACTORIZATIONS = {
 
 
 def _weighted_outer_sum(weights, left, right):
-    """sum_k w_k L_k R_k^T, accumulated one d x d product at a time.
+    """sum_i L_i (sum_j P_ij R_j)^T for the weight matrix P = ``weights``,
+    or P = diag(weights) for a vector, one d x d product per sample of
+    ``left``.
 
-    A single matrix product over (sample, column) pairs is no faster here
-    and needs transposed copies of the whole sample stack.
+    P is applied to ``right`` first as one matrix product over its leading
+    axis, so the loop runs over the samples of ``left`` only: N+1
+    Chebyshev-Lobatto samples on the interpolated path.
     """
+    if weights.ndim == 1:
+        right = weights[:, None, None] * right
+    else:
+        right = np.tensordot(weights, right, axes=1)
     M = np.zeros((left.shape[1], right.shape[1]))
-    for w, L, R in zip(weights, left, right):
-        M += w * (L @ R.T)
+    for L, R in zip(left, right):
+        M += L @ R.T
     return M
 
 
 def assemble_symmetric_from_samples(samples: np.ndarray,
-                                    rule: QuadratureRule) -> GramianMatrix:
-    """Weighted sum of D_k D_k^T over quadrature samples, symmetrized."""
-    M = _weighted_outer_sum(rule.weights, samples, samples)
+                                    rule: QuadratureRule,
+                                    interp=None) -> GramianMatrix:
+    """Simpson rule of D_k D_k^T over the nodes of ``rule``, symmetrized.
+
+    D = ``interp`` @ ``samples`` over the leading axis (D = samples when
+    interp is None) is not formed: with W = diag(rule.weights) the sum is
+    sum_i V_i (Q V)_i^T over the samples V, Q = interp^T W interp.
+    """
+    weights = (rule.weights if interp is None
+               else (interp.T * rule.weights) @ interp)
+    M = _weighted_outer_sum(weights, samples, samples)
     M = 0.5 * (M + M.T)
     return GramianMatrix(matrix=M, kind="symmetric")
 
 
 def assemble_mixed_from_samples(flow_samples: np.ndarray,
                                 chain_samples: np.ndarray,
-                                rule: QuadratureRule) -> GramianMatrix:
-    """Weighted sum of D_k C_k^T; no symmetrization."""
-    M = _weighted_outer_sum(rule.weights, flow_samples, chain_samples)
+                                rule: QuadratureRule,
+                                interp=None) -> GramianMatrix:
+    """Simpson rule of D_k C_k^T, no symmetrization: D as in
+    `assemble_symmetric_from_samples`, the chain products C at the nodes,
+    so the sum is sum_i V_i ((interp^T W) C)_i^T."""
+    weights = rule.weights if interp is None else interp.T * rule.weights
+    M = _weighted_outer_sum(weights, flow_samples, chain_samples)
     return GramianMatrix(matrix=M, kind="mixed")
 
 
@@ -120,7 +142,10 @@ def solve_gramian(G: GramianMatrix, y: np.ndarray,
     solve_again = None
     method, factor, solve, power = _FACTORIZATIONS[G.kind]
     try:
-        factors = factor(M, check_finite=False)
+        with warnings.catch_warnings():
+            # an exactly zero pivot goes to least squares below
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            factors = factor(M, check_finite=False)
         pivots = np.abs(np.diag(factors[0]))
         if pivots.min() > 0.0:
             condition = float((pivots.max() / pivots.min()) ** power)

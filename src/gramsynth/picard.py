@@ -1,15 +1,18 @@
 """The two Gramian synthesis maps and their Picard iteration.
 
 `apply_map` applies the map named by ``SynthesisConfig.map_kind`` in one
-pass: solve the state equation, sample the Jacobian-input products at the
-quadrature nodes (the flow products interpolated from a Chebyshev-Lobatto
-grid), assemble the Gramian, solve for the multiplier, and form the
-updated control pointwise from the product rows.  `run_picard` iterates
-it with type-II Anderson mixing, solving each pass's products only as
-accurately as the pass's endpoint error needs, records per-pass
-telemetry, stops on the iteration budget, endpoint tolerance or
-control-update tolerance, and returns a `PicardResult` that keeps the
-residual and, if solved, the returned control's trajectory.
+pass: solve the state equation, solve the flow products on a
+Chebyshev-Lobatto grid and the chain products at the quadrature nodes,
+assemble the nodes' Simpson Gramian from those samples, solve for the
+multiplier, and form the updated control's node values pointwise from
+the product rows.  The flow products at the nodes are never formed: the
+Gramian and the node values are contracted from the Lobatto samples and
+their barycentric matrix.  `run_picard` iterates it with type-II
+Anderson mixing, solving each pass's products only as accurately as the
+pass's endpoint error needs, records per-pass telemetry, stops on the
+iteration budget, endpoint tolerance or control-update tolerance, and
+returns a `PicardResult` that keeps the residual and, if solved, the
+returned control's trajectory.
 """
 
 from __future__ import annotations
@@ -54,13 +57,16 @@ class SynthesisConfig:
     sample grid, which costs nothing beyond the Gramian pass.  K does not
     set how many flow products are solved: a pass solves them on a
     Chebyshev-Lobatto grid of 33 points, doubled while its Chebyshev
-    tail is above the pass's product rtol, and interpolates them onto the
-    K nodes, or solves them at the K nodes when the next grid would hold
-    K points or more (`flow.sampled_products`).  Each Gramian
-    is factorized with the shift ``regularization`` * Id (finite, >= 0); a
-    shifted solve is refined against the unshifted Gramian.  The per-pass
-    telemetry integrals (``err_fp`` and the energy) use the 1001-point grids
-    of `fixed_point_error` and `control_energy`.
+    tail is above the pass's product rtol, or at the K nodes when the next
+    grid would hold K points or more (`flow.sampled_products`).  K sets
+    the Simpson rule that the Gramian applies to the flow products
+    interpolated onto the nodes, the number of chain products, and the
+    number of control values; the interpolated flow products themselves
+    are never formed.  Each Gramian is factorized with the shift
+    ``regularization`` * Id (finite, >= 0); a shifted solve is refined
+    against the unshifted Gramian.  The per-pass telemetry integrals
+    (``err_fp`` and the energy) use the 1001-point grids of
+    `fixed_point_error` and `control_energy`.
 
     ``solver`` is the tolerance of every trajectory and residual solve, so
     every endpoint error, and of pass 0's and `apply_map`'s products.  From
@@ -163,24 +169,30 @@ def _map_values(problem, traj: Trajectory, config: SynthesisConfig,
     interpolation estimate (`sampled_products`).
 
     The flow products are solved on a Chebyshev-Lobatto grid sized to
-    ``solver.rtol`` and interpolated onto the K Simpson nodes; the chain
-    products are read at the nodes from the costate.
+    ``solver.rtol``; with M the barycentric matrix onto the K Simpson
+    nodes, the Gramian is assembled from the samples V and the general
+    map's node values are M (V_j^T lam), so the (K, d, k) products at the
+    nodes are never formed.  The chain products are read at the nodes
+    from the costate.
     """
     tau = problem.anchor_time
     rule = simpson_rule(problem.t0, problem.T, config.quadrature_points)
-    D, solved, estimate = sampled_products(
+    V, interp, estimate = sampled_products(
         lambda ts: flow_input_products(traj, ts, tau, solver), rule.nodes,
         solver.rtol)
     if config.map_kind == "general":
-        rows = D
-        gram = assemble_symmetric_from_samples(D, rule)
+        gram = assemble_symmetric_from_samples(V, rule, interp)
+        rows, rows_interp = V, interp
     else:
         rows = chain_input_products(traj, traj.control, rule.nodes, tau,
                                     solver)
-        gram = assemble_mixed_from_samples(D, rows, rule)
+        gram = assemble_mixed_from_samples(V, rows, rule, interp)
+        rows_interp = None   # the chain rows are at the nodes
     sol = solve_gramian(gram, y, reg=config.regularization)
-    return (rule.nodes, np.einsum("kim,i->km", rows, sol.lam), sol, solved,
-            estimate)
+    values = np.einsum("jim,i->jm", rows, sol.lam)
+    if rows_interp is not None:
+        values = rows_interp @ values
+    return rule.nodes, values, sol, len(V), estimate
 
 
 def _control(problem, config, nodes, values, lam, sol) -> SynthesizedControl:

@@ -1,8 +1,8 @@
 """Acceptance gate: one printed PASS/FAIL line per criterion.
 
 Run with `pytest tests/test_acceptance.py -s` to see the lines; the whole
-module takes about 30 s on a 2-vCPU machine (the d=64 scaling run of C9
-takes about 5 s of it).
+module takes about 17 s on a 2-vCPU machine (C9, with its d=64 scaling
+run, takes about 1.5 s of it).
 
 Criteria C2b and C2c check the fully actuated 2D Hopfield fixed points
 against the scipy-only shooting oracles of tests/oracles.py (computed when

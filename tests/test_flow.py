@@ -428,21 +428,30 @@ def _pendulum_products(tight_solver):
         traj, ts, problem.T, tight_solver))
 
 
+def _at_nodes(V, M):
+    """The products at the nodes from `sampled_products`' samples V and
+    barycentric matrix M (None on a direct solve)."""
+    return V if M is None else np.tensordot(M, V, axes=1)
+
+
 def test_few_nodes_are_solved_directly(tight_solver):
     problem, products = _pendulum_products(tight_solver)
     for K in (3, 31, flow._LOBATTO_DEGREE + 1):
         nodes = simpson_rule(problem.t0, problem.T, K).nodes
-        D, solved, estimate = flow.sampled_products(products, nodes, 1e-10)
-        assert np.array_equal(D, products(nodes))
-        assert (solved, estimate) == (K, 0.0)
+        V, M, estimate = flow.sampled_products(products, nodes, 1e-10)
+        assert np.array_equal(V, products(nodes))
+        assert (M, estimate) == (None, 0.0)
 
 
 def test_smooth_products_come_from_the_first_grid(tight_solver):
     problem, products = _pendulum_products(tight_solver)
     nodes = simpson_rule(problem.t0, problem.T, 201).nodes
-    D, solved, estimate = flow.sampled_products(products, nodes, 1e-10)
-    assert solved == flow._LOBATTO_DEGREE + 1
+    V, M, estimate = flow.sampled_products(products, nodes, 1e-10)
+    assert len(V) == flow._LOBATTO_DEGREE + 1
+    grid = flow.lobatto_points(problem.t0, problem.T, flow._LOBATTO_DEGREE)
+    assert np.array_equal(M, flow.barycentric_matrix(grid, nodes))
     assert estimate <= flow._TAIL_FRACTION * 1e-10
+    D = _at_nodes(V, M)
     direct = products(nodes)
     assert np.max(np.abs(D - direct)) <= 1e-10 * np.max(np.abs(direct))
 
@@ -464,11 +473,11 @@ def test_kinked_products_double_the_grid_until_solved_directly(
         return flow_input_products(traj, ts, problem.T, paper_solver)
 
     nodes = simpson_rule(problem.t0, problem.T, 401).nodes
-    D, solved, estimate = flow.sampled_products(products, nodes,
-                                                paper_solver.rtol)
+    V, M, estimate = flow.sampled_products(products, nodes,
+                                           paper_solver.rtol)
     assert sizes == [33, 32, 64, 128, 401]
-    assert (solved, estimate) == (401, 0.0)
-    assert np.array_equal(D, flow_input_products(traj, nodes, problem.T,
+    assert (M, estimate) == (None, 0.0)
+    assert np.array_equal(V, flow_input_products(traj, nodes, problem.T,
                                                  paper_solver))
 
 
@@ -504,7 +513,8 @@ def test_sampled_products_match_direct_solves_across_the_catalog():
                 return flow_input_products(traj, ts, problem.anchor_time,
                                            solver)
 
-            D, n, _ = flow.sampled_products(products, nodes, rtol)
+            V, M, _ = flow.sampled_products(products, nodes, rtol)
+            D, n = _at_nodes(V, M), len(V)
             direct = products(nodes)
             ratio = (np.max(np.abs(D - direct))
                      / (rtol * np.max(np.abs(direct))))

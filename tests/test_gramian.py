@@ -1,5 +1,7 @@
 """Simpson rule, Gramian assembly vs classical oracles, multiplier solves."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,17 @@ def test_tiny_pivot_falls_back_to_lstsq():
         assert s.method == "lstsq"
         assert np.max(np.abs(s.lam - 0.5)) < 1e-12
         assert not s.deficient
+
+
+def test_exactly_zero_pivot_falls_back_to_lstsq_silently():
+    # LU of an exactly singular mixed Gramian leaves a zero pivot, which
+    # the least-squares fallback handles, so scipy's warning is not shown
+    G = _gram([[1.0, 0.0], [0.0, 0.0]], kind="mixed")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = solve_gramian(G, np.array([2.0, 0.0]))
+    assert s.method == "lstsq"
+    assert s.lam == pytest.approx([2.0, 0.0])
 
 
 def test_regularized_solve_is_refined():

@@ -1,17 +1,22 @@
 """Synthesis maps, Picard iteration, metrics, and control representations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from gramsynth import (InvalidQuadrature, SingularGramian, SteeringProblem,
-                       SynthesisConfig, ZeroControl, apply_map, control_energy,
+from gramsynth import (InvalidQuadrature, SingularGramian, SolverConfig,
+                       SteeringProblem, SynthesisConfig, ZeroControl,
+                       apply_map, chain_input_products, control_energy,
                        drift_flow, endpoint_error, energy_certificate,
                        fixed_point_error, flow_input_products, linear_system,
-                       make_benchmark, residual, run_picard, solve_trajectory)
+                       make_benchmark, mindy_like, residual, run_picard,
+                       simpson_rule, solve_trajectory)
 from gramsynth import picard
 from gramsynth.controls import ClosedFormControl
-from gramsynth.flow import sampled_products
+from gramsynth.flow import (barycentric_matrix, lobatto_points,
+                            sampled_products)
 from gramsynth.gramian import DEFICIENCY_TOL
 from tests.conftest import counted_calls, lti_min_energy_control
 
@@ -66,10 +71,11 @@ def test_synthesized_grid_values_match_exact_formula(lti_map_output,
     # map's own products: sampled on its Lobatto grid, interpolated onto
     # the nodes
     u1, traj0, problem = lti_map_output
-    D, _, _ = sampled_products(
+    V, M, _ = sampled_products(
         lambda ts: flow_input_products(traj0, ts, u1.anchor_time,
                                        paper_solver),
         u1.grid_ts, paper_solver.rtol)
+    D = np.tensordot(M, V, axes=1)
     for j in range(0, len(u1.grid_ts), 200):
         exact = D[j].T @ u1.lam
         assert np.max(np.abs(u1(float(u1.grid_ts[j])) - exact)) < 1e-12
@@ -506,3 +512,127 @@ def test_divergence_guard_rule():
     assert not diverging([1.0, 0.5, 0.6, 0.55])       # not increasing
     assert not diverging([1.0, 2.0, 3.0, 9.0])        # under the x10 bar
     assert not diverging([1.0, 2.0, 2.0, 11.0])       # not strictly monotone
+
+
+# ---------------------------------------------------------------------------
+# Gramian and node values contracted from the Lobatto samples
+
+def _pass_and_explicit_route(problem, u, cfg, monkeypatch):
+    """One `apply_map` pass, and the same pass the explicit way.
+
+    Returns the pass's Gramian and node values, the same two from the
+    flow products at the K nodes (formed as barycentric_matrix(grid,
+    nodes) @ V, or V itself on a direct solve) followed by the K-node
+    Simpson sums written out, and the pass's samples V and matrix M.
+    """
+    seen = {}
+    real_sampled, real_solve = picard.sampled_products, picard.solve_gramian
+
+    def sampled(*args):
+        seen["samples"] = real_sampled(*args)
+        return seen["samples"]
+
+    def solve(G, *args, **kwargs):
+        seen["gramian"] = G.matrix
+        return real_solve(G, *args, **kwargs)
+
+    monkeypatch.setattr(picard, "sampled_products", sampled)
+    monkeypatch.setattr(picard, "solve_gramian", solve)
+    u1, traj = _map(problem, u, cfg)
+    V, M, _ = seen["samples"]
+    rule = simpson_rule(problem.t0, problem.T, cfg.quadrature_points)
+    D = V
+    if M is not None:
+        grid = lobatto_points(problem.t0, problem.T, len(V) - 1)
+        D = np.tensordot(barycentric_matrix(grid, rule.nodes), V, axes=1)
+    rows = D if cfg.map_kind == "general" else chain_input_products(
+        traj, u, rule.nodes, problem.anchor_time, cfg.solver)
+    G = np.einsum("k,kim,kjm->ij", rule.weights, D, rows)
+    values = np.einsum("kim,i->km", rows, u1.lam)
+    return (seen["gramian"], u1.grid_values), (G, values), (V, M)
+
+
+def _rel_diff(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+def _network_problem(d, k, K, kind):
+    """A d-dimensional `mindy_like` network steered from rest over [0, 1]
+    by K nodes, and a smooth non-zero control to apply the map to."""
+    system = mindy_like(d, k, seed=7)
+    x1 = np.random.default_rng(8).uniform(0.0, 0.5, size=d)
+    problem = SteeringProblem(system, np.zeros(d), x1, 0.0, 1.0)
+    phase = np.arange(k)
+    u = ClosedFormControl(lambda t: 0.2 * np.sin(3.0 * t + phase), k=k,
+                          span=(0.0, 1.0))
+    cfg = SynthesisConfig(map_kind=kind, quadrature_points=K,
+                          solver=SolverConfig(rtol=1e-8, atol=1e-10))
+    return problem, u, cfg
+
+
+@pytest.mark.parametrize("kind", ["general", "minimum_energy"])
+def test_sample_space_pass_matches_the_explicit_route(kind, monkeypatch):
+    problem, u, cfg = _network_problem(16, 8, 1001, kind)
+    (G, values), (G_ref, values_ref), (V, M) = _pass_and_explicit_route(
+        problem, u, cfg, monkeypatch)
+    assert M is not None and len(V) < cfg.quadrature_points
+    assert _rel_diff(G, G_ref) <= 1e-12
+    assert _rel_diff(values, values_ref) <= 1e-12
+
+
+def _kinked_unicycle(K, kind):
+    """The `unicycle` whose steering input jumps at t = 1, as in the
+    kinked-products test of tests/test_flow.py: no grid is accepted."""
+    system, problem = make_benchmark("unicycle")
+    u = ClosedFormControl(lambda t: np.array([1.0, 1.0 if t < 1.0 else -1.0]),
+                          k=2, span=(problem.t0, problem.T))
+    cfg = SynthesisConfig(map_kind=kind, quadrature_points=K,
+                          solver=SolverConfig(rtol=1e-8, atol=1e-10))
+    return problem, u, cfg
+
+
+@pytest.mark.parametrize("kind", ["general", "minimum_energy"])
+@pytest.mark.parametrize("case", [(_network_problem, 16, 8, 33),
+                                  (_kinked_unicycle, 401)],
+                         ids=["network-K33", "kinked-unicycle-K401"])
+def test_direct_solves_match_the_explicit_route(case, kind, monkeypatch):
+    # the fallback that solves the products at the nodes weighs them by
+    # the Simpson weights alone: the K-node sums within rounding
+    make, *args = case
+    problem, u, cfg = make(*args, kind)
+    (G, values), (G_ref, values_ref), (V, M) = _pass_and_explicit_route(
+        problem, u, cfg, monkeypatch)
+    assert M is None and len(V) == cfg.quadrature_points
+    assert _rel_diff(G, G_ref) <= 1e-14
+    assert _rel_diff(values, values_ref) <= 1e-14
+
+
+def test_general_pass_memory_does_not_grow_with_a_product_stack(
+        monkeypatch):
+    # one (K, d, k) stack of flow products at the nodes is 8 K d k bytes;
+    # from K = 201 to K = 1001 the pass's traced peak must grow by less
+    # than half of the 800 nodes' share of it.  The integrator's batch
+    # workspace (8.7 MB here, whatever K) would hide such a stack under
+    # the peak, so the traced pass replays products solved beforehand.
+    d = 32
+    solved, real = {}, picard.flow_input_products
+
+    def replayed(traj, ts, *args):
+        key = np.asarray(ts).tobytes()
+        if key not in solved:
+            solved[key] = real(traj, ts, *args)
+        return solved[key].copy()
+
+    monkeypatch.setattr(picard, "flow_input_products", replayed)
+    peaks = {}
+    for K in (201, 1001):
+        problem, u, cfg = _network_problem(d, d, K, "general")
+        y = residual(problem, cfg.solver)
+        apply_map(problem, u, cfg, y)   # solves the products to replay
+        tracemalloc.start()
+        try:
+            apply_map(problem, u, cfg, y)
+            peaks[K] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1001] - peaks[201] < 0.5 * 800 * d * d * 8, peaks
