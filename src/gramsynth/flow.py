@@ -8,14 +8,16 @@ Two matrix-valued products feed the Gramians:
   become rows of one lockstep batch solve.  Consecutive batches have
   nearly the same spans, so each batch after the first is warm-started
   from the step its predecessor's controller proposed last, and only the
-  first pays the starting-step warm-up.  The products are smooth in t,
-  so `sampled_products` solves them at N+1 Chebyshev-Lobatto points
-  (N = 32, doubled while the Chebyshev tail is above the products' rtol)
-  and returns those samples with the barycentric matrix that maps them
-  onto the K quadrature nodes.  The products at the nodes are never
-  formed: the Gramian and the control's node values are contracted from
-  the samples, and K still counts the Simpson nodes of the Gramians and
-  the control's sample grid.
+  first pays the starting-step warm-up, unless its caller hands it a
+  first step.  The products are smooth in t, so `sampled_products`
+  solves them at N+1 Chebyshev-Lobatto points (N = 32 by default, or
+  the start a `ProductRecord` of an earlier solve gives, doubled while
+  the Chebyshev tail is above the products' rtol) and returns those
+  samples with the barycentric matrix that maps them onto the K
+  quadrature nodes.  The products at the nodes are never formed: the
+  Gramian and the control's node values are contracted from the
+  samples, and K still counts the Simpson nodes of the Gramians and the
+  control's sample grid.
 * chain products -- the closed-loop state-transition matrix R_u(T,t)
   times B, pushed through the drift variational equation back to the
   anchor.  R_u(T,t) is the Pontryagin costate, so one dense backward
@@ -27,11 +29,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .controls import ControlFunction
-from .ode import DenseSolution, OdeProblem, SolverConfig, integrate
+from .ode import (DenseSolution, OdeProblem, SolverConfig, carried_step,
+                  integrate)
 from .quadrature import cumulative_simpson, simpson_rule
 from .systems import ControlAffineSystem, SteeringProblem, drift_flow
 
@@ -54,6 +58,11 @@ _LOBATTO_DEGREE = 32
 # `sampled_products` accepts a grid whose top ceil(N/8) Chebyshev
 # coefficients are at most this fraction of rtol * max|D|.
 _TAIL_FRACTION = 0.1
+# The coarsest grid a `ProductRecord.start` may choose.
+_MIN_DEGREE = 16
+# The (degree, first step) of products solved with nothing to go on: the
+# first grid of `sampled_products` and the integrator's automatic step.
+COLD_START = (_LOBATTO_DEGREE, None)
 
 
 @dataclass(frozen=True)
@@ -152,17 +161,22 @@ def _input_matrices(sys_, t, x, out):
 
 
 def flow_input_products(traj: Trajectory, ts, tau: float,
-                        config: SolverConfig = SolverConfig()) -> np.ndarray:
+                        config: SolverConfig = SolverConfig(),
+                        first_step: Optional[float] = None,
+                        steps: Optional[list] = None) -> np.ndarray:
     """Flow-input products at sample times ts; shape (len(ts), d, k).
 
     Consecutive samples are solved together in lockstep batches of
     ``_BATCH_ELEMENTS``, each after the first warm-started from its
     predecessor's last proposed step; a sample at t == tau is B_t exactly.
+    The first batch starts from ``first_step`` (default: the integrator's
+    automatic step).  Each batch's last proposed step is appended to
+    ``steps`` when it is a list.
     """
     sys_ = traj.system
     ts = np.asarray(ts, dtype=float).ravel()
     out = np.empty((ts.size, sys_.d, sys_.k))
-    step = None
+    step = first_step
     for part in _chunks(ts, sys_.d, sys_.k):
         t = ts[part]
         x = traj.solution.eval_many(t)
@@ -171,6 +185,8 @@ def flow_input_products(traj: Trajectory, ts, tau: float,
         if moving.any():
             block[moving], step = _drift_variational(
                 sys_, t[moving], tau, x[moving], block[moving], config, step)
+            if steps is not None:
+                steps.append(step)
     return out
 
 
@@ -219,17 +235,19 @@ def chebyshev_tail(values: np.ndarray) -> float:
     return float(np.max(np.abs(coeffs)))
 
 
-def sampled_products(products, nodes, rtol: float):
+def sampled_products(products, nodes, rtol: float,
+                     degree: int = _LOBATTO_DEGREE):
     """Samples of ``products`` that determine them at ``nodes``.
 
     ``products(ts)`` returns the products at ts, shape (len(ts), d, k);
     ``nodes`` run from t0 to T.  The products are solved at the N+1
-    Lobatto points of [t0, T], N = `_LOBATTO_DEGREE`, and the grid is
-    accepted when its top Chebyshev coefficients (`chebyshev_tail`) are
-    at most `_TAIL_FRACTION` * rtol * max|D|; else N doubles, and since
-    the grids are nested only the N new points are solved.  When the next
-    grid would hold len(nodes) or more points the products are solved at
-    the nodes directly.
+    Lobatto points of [t0, T], N = ``degree`` (by default
+    `_LOBATTO_DEGREE`, or a `ProductRecord.start` degree), and the grid
+    is accepted when its top Chebyshev coefficients (`chebyshev_tail`)
+    are at most `_TAIL_FRACTION` * rtol * max|D|; else N doubles, and
+    since the grids are nested only the N new points are solved.  When
+    the grid, or the next one, would hold len(nodes) or more points the
+    products are solved at the nodes directly.
 
     Returns (V, M, tail): the samples V, shape (N+1, d, k); the
     (len(nodes), N+1) `barycentric_matrix` M, so that the products at the
@@ -238,7 +256,7 @@ def sampled_products(products, nodes, rtol: float):
     None (the identity, not formed) and the tail is 0.
     """
     nodes = np.asarray(nodes, dtype=float)
-    K, N = nodes.size, _LOBATTO_DEGREE
+    K, N = nodes.size, degree
     if N + 1 >= K:
         return products(nodes), None, 0.0
     grid = lobatto_points(nodes[0], nodes[-1], N)
@@ -257,6 +275,60 @@ def sampled_products(products, nodes, rtol: float):
         finer[::2] = values
         finer[1::2] = products(grid[1::2])
         values = finer
+
+
+def subgrid_tails(values) -> Tuple[Tuple[int, float], ...]:
+    """Chebyshev tails of the coarser Lobatto grids inside a sampled one.
+
+    ``values`` are samples at the N+1 Lobatto points (leading axis), so
+    values[::2], values[::4], ... are the samples at the nested grids of
+    degree N/2, N/4, ... (`lobatto_points`).  Returns (n, tail / max|D|)
+    with the `chebyshev_tail` of each such degree n >= `_MIN_DEGREE`,
+    finest first.
+    """
+    N = len(values) - 1
+    scale = float(np.max(np.abs(values)))
+    tails, stride = [], 2
+    while N // stride >= _MIN_DEGREE:
+        tail = chebyshev_tail(values[::stride])
+        tails.append((N // stride, tail / scale if scale > 0.0 else 0.0))
+        stride *= 2
+    return tuple(tails)
+
+
+@dataclass(frozen=True)
+class ProductRecord:
+    """What one solve of flow products leaves for the next, in place of
+    its samples.
+
+    ``rtol`` is the rtol they were solved at, ``degree`` the Lobatto
+    degree of the accepted grid (None after a direct solve), ``tails`` its
+    `subgrid_tails` and ``step`` the step that the first solved lockstep
+    batch proposed last (None if no batch was solved).
+    """
+
+    rtol: float
+    degree: Optional[int]
+    tails: Tuple[Tuple[int, float], ...]
+    step: Optional[float]
+
+    def start(self, rtol: float) -> Tuple[int, Optional[float]]:
+        """The Lobatto degree and the first step to solve the products at
+        rtol from.
+
+        The degree is the smallest in ``tails`` whose tail meets
+        `sampled_products`' acceptance threshold at rtol, else ``degree``,
+        or `COLD_START`'s after a direct solve; the grid must still pass
+        its own tail.  The step is ``step`` carried from ``self.rtol`` to
+        rtol (`carried_step`).
+        """
+        step = (None if self.step is None
+                else carried_step(self.step, self.rtol, rtol))
+        if self.degree is None:
+            return COLD_START[0], step
+        return min((n for n, tail in self.tails
+                    if tail <= _TAIL_FRACTION * rtol),
+                   default=self.degree), step
 
 
 def _costate_rhs(s, lam_flat, traj, u, d):

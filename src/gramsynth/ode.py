@@ -92,6 +92,17 @@ def adapt_step(error_norm: float, h: float) -> float:
     return h * min(MAX_FACTOR, max(MIN_FACTOR, factor))
 
 
+def carried_step(h: float, rtol_from: float, rtol_to: float) -> float:
+    """A step size h that suited a solve at rtol_from, carried to a like
+    solve at rtol_to with atol scaled alike.
+
+    A step's error estimate scales as h**(q+1), q the embedded
+    error-estimator order, so the step that meets a tolerance scales as
+    its (q+1)-th root: the exponent of `adapt_step`.
+    """
+    return h * (rtol_to / rtol_from) ** (1.0 / (tb.DOP853_ERROR_ORDER + 1))
+
+
 def _initial_step(fun, t0, y0, f0, direction, span, rtol, atol):
     """Automatic starting step (Hairer-Norsett-Wanner heuristic).
 

@@ -27,8 +27,9 @@ import numpy as np
 
 from .controls import ControlFunction, SynthesizedControl, ZeroControl
 from .errors import PicardDiverged, SingularGramian
-from .flow import (Trajectory, chain_input_products, flow_input_products,
-                   residual, sampled_products, solve_trajectory)
+from .flow import (COLD_START, ProductRecord, Trajectory,
+                   chain_input_products, flow_input_products, residual,
+                   sampled_products, solve_trajectory, subgrid_tails)
 from .gramian import (DEFICIENCY_TOL, assemble_mixed_from_samples,
                       assemble_symmetric_from_samples, solve_gramian)
 from .ode import SolverConfig
@@ -56,9 +57,13 @@ class SynthesisConfig:
     Simpson nodes, an odd integer >= 3, are also the synthesized control's
     sample grid, which costs nothing beyond the Gramian pass.  K does not
     set how many flow products are solved: a pass solves them on a
-    Chebyshev-Lobatto grid of 33 points, doubled while its Chebyshev
-    tail is above the pass's product rtol, or at the K nodes when the next
-    grid would hold K points or more (`flow.sampled_products`).  K sets
+    Chebyshev-Lobatto grid, doubled while its Chebyshev tail is above the
+    pass's product rtol, or at the K nodes when the next grid would hold K
+    points or more (`flow.sampled_products`).  The first grid has 33
+    points, except in a loosened pass of `run_picard` after one that
+    sampled a grid: that pass starts at the smallest nested grid of at
+    least 17 points whose tail, read from the previous pass's samples,
+    meets its own threshold, else at the previous pass's grid.  K sets
     the Simpson rule that the Gramian applies to the flow products
     interpolated onto the nodes, the number of chain products, and the
     number of control values; the interpolated flow products themselves
@@ -108,7 +113,9 @@ class IterationRecord:
     ``gramian_condition`` the condition estimate of the pass's Gramian and
     ``product_rtol`` the rtol its flow and chain products were solved at.
     ``product_nodes`` is the number of flow-product samples its products
-    came from (N+1 Chebyshev-Lobatto points, or K on a direct solve) and
+    came from (N+1 Chebyshev-Lobatto points, or K on a direct solve; N
+    starts at 32, or at 16 or more in a loosened pass that starts from
+    the previous pass's grid, see `SynthesisConfig`) and
     ``interp_estimate`` is the accepted grid's Chebyshev tail relative to
     max|D| (0 on a direct solve).  A pass that stops on the endpoint
     tolerance applies no map, so these five are NaN in its record.
@@ -162,14 +169,17 @@ class PicardResult:
 
 
 def _map_values(problem, traj: Trajectory, config: SynthesisConfig,
-                y: np.ndarray, solver: SolverConfig):
+                y: np.ndarray, solver: SolverConfig, start=COLD_START):
     """F(u) for u = ``traj.control``, its products solved at ``solver``:
     the quadrature nodes, the pointwise formula's values there (K, k), the
-    multiplier solve, and the flow products' sample count and relative
-    interpolation estimate (`sampled_products`).
+    multiplier solve, the flow products' sample count and relative
+    interpolation estimate (`sampled_products`), and their
+    `ProductRecord`.
 
     The flow products are solved on a Chebyshev-Lobatto grid sized to
-    ``solver.rtol``; with M the barycentric matrix onto the K Simpson
+    ``solver.rtol``, its first grid of degree ``start[0]`` and that grid's
+    first lockstep batch started from the step ``start[1]``; a doubling
+    starts cold.  With M the barycentric matrix onto the K Simpson
     nodes, the Gramian is assembled from the samples V and the general
     map's node values are M (V_j^T lam), so the (K, d, k) products at the
     nodes are never formed.  The chain products are read at the nodes
@@ -177,9 +187,23 @@ def _map_values(problem, traj: Trajectory, config: SynthesisConfig,
     """
     tau = problem.anchor_time
     rule = simpson_rule(problem.t0, problem.T, config.quadrature_points)
-    V, interp, estimate = sampled_products(
-        lambda ts: flow_input_products(traj, ts, tau, solver), rule.nodes,
-        solver.rtol)
+    degree, first_step = start
+    steps = None   # the first grid's batch steps
+
+    def products(ts):
+        nonlocal steps
+        if steps is not None:
+            return flow_input_products(traj, ts, tau, solver)
+        steps = []
+        return flow_input_products(traj, ts, tau, solver,
+                                   first_step=first_step, steps=steps)
+
+    V, interp, estimate = sampled_products(products, rule.nodes, solver.rtol,
+                                           degree)
+    record = ProductRecord(
+        solver.rtol, None if interp is None else len(V) - 1,
+        () if interp is None else subgrid_tails(V),
+        steps[0] if steps else None)
     if config.map_kind == "general":
         gram = assemble_symmetric_from_samples(V, rule, interp)
         rows, rows_interp = V, interp
@@ -192,7 +216,7 @@ def _map_values(problem, traj: Trajectory, config: SynthesisConfig,
     values = np.einsum("jim,i->jm", rows, sol.lam)
     if rows_interp is not None:
         values = rows_interp @ values
-    return rule.nodes, values, sol, len(V), estimate
+    return rule.nodes, values, sol, len(V), estimate, record
 
 
 def _control(problem, config, nodes, values, lam, sol) -> SynthesizedControl:
@@ -312,7 +336,12 @@ def run_picard(problem, config: SynthesisConfig = SynthesisConfig(),
 
     The map is evaluated inexactly far from the target: from pass 1 on,
     the products are solved at rtol max(rtol, c err_end_n), with c =
-    `_PRODUCT_TOL_FRACTION` and atol scaled by the same factor.  Three
+    `_PRODUCT_TOL_FRACTION` and atol scaled by the same factor.  Such a
+    loosened pass starts its flow products where the previous pass left
+    them (`flow.ProductRecord`): at the coarsest Lobatto grid the previous
+    samples say will pass, and its first lockstep batch from the step the
+    previous pass's first batch proposed last, carried to the new rtol;
+    every other pass starts them cold, at 33 points.  Three
     solves keep ``config.solver``: the trajectory and residual solves, so
     every ``err_end`` and endpoint stop is measured as configured; pass
     0's products, since a map that does not depend on u (a linear system)
@@ -337,6 +366,7 @@ def run_picard(problem, config: SynthesisConfig = SynthesisConfig(),
     records: List[IterationRecord] = []
     err_trace: List[float] = []
     initial_ok = None
+    learned: Optional[ProductRecord] = None   # from the last pass's products
     mixer = _AndersonMixer(config.quadrature_points * problem.system.k,
                            problem.system.d)
 
@@ -362,8 +392,11 @@ def run_picard(problem, config: SynthesisConfig = SynthesisConfig(),
         if n > 0 and factor > 1.0:   # pass 0's products stay exact
             solver = replace(solver, rtol=solver.rtol * factor,
                              atol=solver.atol * factor)
-        nodes, values, sol, solved, estimate = _map_values(
-            problem, traj, config, y, solver)
+        # a loosened pass starts its flow products from the last pass's
+        start = (COLD_START if solver is config.solver
+                 else learned.start(solver.rtol))
+        nodes, values, sol, solved, estimate, learned = _map_values(
+            problem, traj, config, y, solver, start)
         if n == 0:
             initial_ok = not sol.deficient
         elif sol.deficient:

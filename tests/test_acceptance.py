@@ -49,14 +49,19 @@ RUN_SETTINGS = {
 _CACHE = {}
 
 
+def suite_problem(name, map_kind):
+    """The system, problem and synthesis settings of a suite run."""
+    system, problem = make_benchmark(name)
+    cfg = SynthesisConfig(map_kind=map_kind, solver=PAPER_SOLVER, n_max=25,
+                          eps_x=1e-11, eps_u=1e-11, **RUN_SETTINGS[name])
+    return system, problem, cfg
+
+
 def suite_run(name, map_kind):
     """Converged synthesis run (25-pass budget), cached across criteria."""
     key = (name, map_kind)
     if key not in _CACHE:
-        system, problem = make_benchmark(name)
-        cfg = SynthesisConfig(map_kind=map_kind, solver=PAPER_SOLVER,
-                              n_max=25, eps_x=1e-11, eps_u=1e-11,
-                              **RUN_SETTINGS[name])
+        system, problem, cfg = suite_problem(name, map_kind)
         tic = time.perf_counter()
         result = run_picard(problem, cfg)
         wall = time.perf_counter() - tic

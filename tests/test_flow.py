@@ -12,9 +12,9 @@ from gramsynth import (SteeringProblem, ZeroControl, chain_input_products,
                        flow_conjugate_profile, flow_input_products,
                        drift_flow, linear_system, make_benchmark, residual,
                        run_picard, simpson_rule, solve_trajectory)
-from gramsynth import flow
+from gramsynth import flow, picard
 from gramsynth.controls import ClosedFormControl
-from tests.test_acceptance import suite_run
+from tests.test_acceptance import suite_problem, suite_run
 from tests.test_default_node_count import CATALOG, _network_cases
 
 
@@ -337,6 +337,32 @@ def test_products_are_pure(lti3, tight_solver):
     assert np.array_equal(c, d)
 
 
+def test_first_step_and_step_list_leave_products_pure(tight_solver,
+                                                     monkeypatch):
+    # the step list only records each batch's proposed step; a handed
+    # first step moves the products within the tolerance, the same bits on
+    # every call, and leaves no trace in a later cold call
+    system, problem = make_benchmark("mindy_like", {"d": 8, "k": 4})
+    u = ClosedFormControl(lambda t: np.full(system.k, np.sin(3.0 * t)),
+                          k=system.k, span=(problem.t0, problem.T))
+    traj = solve_trajectory(problem, u, tight_solver)
+    ts = np.linspace(problem.t0, problem.T, 9)
+    monkeypatch.setattr(flow, "_BATCH_ELEMENTS",
+                        2 * (system.d + system.d * system.k))
+    tau = problem.T
+    cold = flow_input_products(traj, ts, tau, tight_solver)
+    steps = []
+    recorded = flow_input_products(traj, ts, tau, tight_solver, steps=steps)
+    assert np.array_equal(recorded, cold) and len(steps) == 4
+    warm = [flow_input_products(traj, ts, tau, tight_solver,
+                                first_step=steps[0]) for _ in range(2)]
+    assert np.array_equal(warm[0], warm[1])
+    assert np.max(np.abs(warm[0] - cold)) <= 1e-9 * max(
+        1.0, np.max(np.abs(cold)))
+    assert np.array_equal(flow_input_products(traj, ts, tau, tight_solver),
+                          cold)
+
+
 def test_flow_conjugate_zero_control(tight_solver):
     system, problem = make_benchmark("pendulum")
     traj = solve_trajectory(problem, ZeroControl(1, (problem.t0, problem.T)),
@@ -527,3 +553,35 @@ def test_sampled_products_match_direct_solves_across_the_catalog():
     # 33 Lobatto points leave sir's general-map products 1.7 rtol off
     # while their tail reads 0.15 rtol: the tail bound must refuse them
     assert solved["sir/general"] > flow._LOBATTO_DEGREE + 1, report
+
+
+def test_warm_started_passes_match_direct_solves_across_the_catalog(
+        monkeypatch):
+    # every pass of the runs above, as `run_picard` starts it: a loosened
+    # pass from the Lobatto degree and first step the pass before it
+    # hands over.  The interpolated products agree with the products
+    # solved at the nodes (at the pass's solver, started cold) within
+    # rtol * max|D|
+    real, worst, coarse = picard.sampled_products, {}, {}
+
+    def checked(products, nodes, rtol, degree):
+        V, M, tail = real(products, nodes, rtol, degree)
+        direct = products(nodes)
+        ratio = (np.max(np.abs(_at_nodes(V, M) - direct))
+                 / (rtol * np.max(np.abs(direct))))
+        worst[label] = max(worst.get(label, 0.0), ratio)
+        coarse[label] += degree < flow._LOBATTO_DEGREE
+        return V, M, tail
+
+    monkeypatch.setattr(picard, "sampled_products", checked)
+    cases = [(f"{name}/{kind}",) + suite_problem(name, kind)[1:]
+             for name in CATALOG for kind in ("general", "minimum_energy")]
+    for label, problem, config in cases + [next(_network_cases())]:
+        coarse[label] = 0
+        assert run_picard(problem, config).status.success, label
+    report = ", ".join(f"{label} {r:.2f} ({coarse[label]} coarse)"
+                       for label, r in worst.items())
+    print(report)
+    assert len(worst) == 2 * len(CATALOG) + 1
+    assert max(worst.values()) <= 1.0, report
+    assert sum(coarse.values()) > 0, report

@@ -15,8 +15,9 @@ from gramsynth import (InvalidQuadrature, SingularGramian, SolverConfig,
                        simpson_rule, solve_trajectory)
 from gramsynth import picard
 from gramsynth.controls import ClosedFormControl
-from gramsynth.flow import (barycentric_matrix, lobatto_points,
-                            sampled_products)
+from gramsynth import flow
+from gramsynth.flow import (ProductRecord, barycentric_matrix,
+                            lobatto_points, sampled_products, subgrid_tails)
 from gramsynth.gramian import DEFICIENCY_TOL
 from tests.conftest import counted_calls, lti_min_energy_control
 
@@ -515,6 +516,115 @@ def test_divergence_guard_rule():
 
 
 # ---------------------------------------------------------------------------
+# loosened passes start their flow products where the pass before left them
+
+def _recorded_passes(monkeypatch, run):
+    """Call ``run()`` and record each `sampled_products` call of it: the
+    rtol and degree handed over, the samples V, whether V holds the
+    products on the 33-point grid solved cold bit for bit, and the
+    first step and proposed step of the pass's first `integrate` call."""
+    passes, solves = [], []
+    real_sampled, real_integrate = picard.sampled_products, flow.integrate
+
+    def integrate(problem, config, dense=True, first_step=None):
+        sol = real_integrate(problem, config, dense, first_step=first_step)
+        solves.append((first_step, sol.next_step))
+        return sol
+
+    def sampled(products, nodes, rtol, degree):
+        first = len(solves)
+        V, M, tail = real_sampled(products, nodes, rtol, degree)
+        first_step, proposed = solves[first]
+        grid = lobatto_points(nodes[0], nodes[-1], flow._LOBATTO_DEGREE)
+        stride = (len(V) - 1) // flow._LOBATTO_DEGREE
+        cold = stride > 0 and np.array_equal(V[::stride], products(grid))
+        passes.append(dict(rtol=rtol, degree=degree, V=V, cold=cold,
+                           first_step=first_step, proposed=proposed))
+        return V, M, tail
+
+    monkeypatch.setattr(flow, "integrate", integrate)
+    monkeypatch.setattr(picard, "sampled_products", sampled)
+    out = run()
+    monkeypatch.undo()
+    return out, passes
+
+
+@pytest.fixture(scope="module")
+def hopfield_passes(paper_solver):
+    """Nine passes of the general map on `hopfield2d_full` at K = 101:
+    pass 0, loosened passes 1-6 (1 and 2 at 17 points), configured-rtol
+    passes 7 and 8; then one `apply_map` from the zero control."""
+    system, problem = make_benchmark("hopfield2d_full")
+    cfg = SynthesisConfig(quadrature_points=101, solver=paper_solver,
+                          n_max=9, eps_x=1e-14, eps_u=1e-14)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        result, passes = _recorded_passes(
+            monkeypatch, lambda: run_picard(problem, cfg))
+        _, applied = _recorded_passes(
+            monkeypatch, lambda: apply_map(
+                problem, ZeroControl(2, (problem.t0, problem.T)), cfg,
+                residual(problem, cfg.solver)))
+    return cfg, result.records, passes, applied[0]
+
+
+def test_pass_zero_configured_passes_and_apply_map_start_cold(
+        hopfield_passes):
+    cfg, records, passes, applied = hopfield_passes
+    assert len(passes) == len(records) == cfg.n_max
+    configured = [p for r, p in zip(records, passes)
+                  if r.n == 0 or r.product_rtol == cfg.solver.rtol]
+    assert len(configured) == 3
+    for p in configured + [applied]:
+        assert p["degree"] == flow._LOBATTO_DEGREE
+        assert p["first_step"] is None
+        assert p["cold"]
+
+
+def test_loose_pass_starts_at_the_grid_its_predecessor_resolved(
+        hopfield_passes):
+    # the 17-point sub-grid of the previous pass's 33 samples decides:
+    # its tail within the pass's acceptance threshold starts the pass at
+    # 17 points, else at 33; a pass after a 17-point one starts at 17
+    cfg, records, passes, _ = hopfield_passes
+    starts = []
+    for r, prev, p in zip(records[1:], passes, passes[1:]):
+        if r.product_rtol == cfg.solver.rtol:
+            continue
+        expected = len(prev["V"]) - 1
+        for n, tail in subgrid_tails(prev["V"]):
+            if tail <= flow._TAIL_FRACTION * p["rtol"]:
+                expected = n
+        assert p["degree"] == expected
+        starts.append((len(prev["V"]), p["degree"]))
+    # both outcomes of the 33-point predecessors' tails occur
+    assert (33, 16) in starts and (33, 32) in starts, starts
+
+
+def test_loose_pass_starts_from_the_carried_first_step(hopfield_passes):
+    cfg, records, passes, _ = hopfield_passes
+    loose = [(prev, p) for r, prev, p in zip(records[1:], passes, passes[1:])
+             if r.product_rtol != cfg.solver.rtol]
+    assert len(loose) == 6
+    for prev, p in loose:
+        assert p["first_step"] == pytest.approx(
+            prev["proposed"] * (p["rtol"] / prev["rtol"]) ** (1 / 8),
+            rel=1e-15)
+
+
+def test_product_record_start_rule():
+    tails = ((32, 1e-7), (16, 1e-5))
+    record = ProductRecord(rtol=1e-3, degree=64, tails=tails, step=0.5)
+    # the smallest degree whose tail is within 0.1 rtol, else the record's
+    assert record.start(1e-4) == (16, pytest.approx(0.5 * 0.1 ** 0.125))
+    assert record.start(1e-6)[0] == 32
+    assert record.start(1e-7)[0] == 64
+    assert ProductRecord(1e-3, 64, tails, None).start(1e-4) == (16, None)
+    # after a direct solve: the first grid, whatever the tails
+    assert ProductRecord(1e-3, None, (), 0.5).start(1e-3) == (
+        flow._LOBATTO_DEGREE, 0.5)
+
+
+# ---------------------------------------------------------------------------
 # Gramian and node values contracted from the Lobatto samples
 
 def _pass_and_explicit_route(problem, u, cfg, monkeypatch):
@@ -617,10 +727,10 @@ def test_general_pass_memory_does_not_grow_with_a_product_stack(
     d = 32
     solved, real = {}, picard.flow_input_products
 
-    def replayed(traj, ts, *args):
+    def replayed(traj, ts, *args, **kwargs):
         key = np.asarray(ts).tobytes()
         if key not in solved:
-            solved[key] = real(traj, ts, *args)
+            solved[key] = real(traj, ts, *args, **kwargs)
         return solved[key].copy()
 
     monkeypatch.setattr(picard, "flow_input_products", replayed)
