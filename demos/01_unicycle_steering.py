@@ -30,7 +30,7 @@ print(f"\nterminated: {status.criterion} after {status.iterations} passes "
 print(f"{'n':>3s} {'err_end':>12s} {'err_fp':>12s} {'||u||_2':>10s}")
 for r in result.records:
     print(f"{r.n:3d} {r.err_end:12.3e} {r.err_fp:12.3e} "
-          f"{np.sqrt(r.energy_sq_norm):10.6f}")
+          f"{np.sqrt(2 * r.energy):10.6f}")
 
 traj = solve_trajectory(problem, u, config.solver)
 print(f"\nre-solved endpoint error: "

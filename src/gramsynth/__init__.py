@@ -11,9 +11,9 @@ from .baselines import chebyshev_reference_control, feedback_linearization_basel
 from .controls import (ClosedFormControl, ControlFunction, SynthesizedControl,
                        ZeroControl)
 from .errors import (ConfigError, GramsynthError, InvalidQuadrature,
-                     NonFiniteState, NonFiniteValue, NotFullyActuated,
-                     OutOfSpan, PicardDiverged, SingularGramian,
-                     StepLimitExceeded, UnknownSystem)
+                     NonFiniteState, NotFullyActuated, OutOfSpan,
+                     PicardDiverged, SingularGramian, StepLimitExceeded,
+                     UnknownSystem)
 from .flow import (Trajectory, chain_input_products, flow_conjugate_profile,
                    flow_input_products, residual, solve_trajectory)
 from .gramian import (GramianMatrix, GramianSolve,
@@ -26,11 +26,10 @@ from .ode import (DenseSolution, OdeProblem, SolverConfig, adapt_step,
                   integrate)
 from .picard import (IterationRecord, PicardResult, RunStatus,
                      SynthesisConfig, apply_map, control_energy,
-                     endpoint_error, energy_certificate, fixed_point_error,
-                     run_picard)
+                     endpoint_error, energy_certificate, run_picard)
 from .quadrature import QuadratureRule, cumulative_simpson, simpson_rule
 from .systems import (ControlAffineSystem, SteeringProblem, drift_flow,
-                      jacobian_fd, linear_system, make_benchmark, mindy_like)
+                      linear_system, make_benchmark, mindy_like)
 
 __version__ = "0.1.0"
 
@@ -38,18 +37,17 @@ __all__ = [
     "ClosedFormControl", "ConfigError", "ControlAffineSystem",
     "ControlFunction", "DenseSolution", "ExperimentConfig", "GramianMatrix",
     "GramianSolve", "GramsynthError", "InvalidQuadrature", "IterationRecord",
-    "NonFiniteState", "NonFiniteValue", "NotFullyActuated", "OdeProblem",
-    "OutOfSpan", "PicardDiverged", "PicardResult", "QuadratureRule",
-    "RunArtifact", "RunStatus", "SingularGramian", "SolverConfig",
-    "SteeringProblem", "StepLimitExceeded", "SynthesisConfig",
-    "SynthesizedControl", "Trajectory", "UnknownSystem", "ZeroControl",
-    "adapt_step", "apply_map", "assemble_mixed_from_samples",
-    "assemble_symmetric_from_samples", "chain_input_products",
-    "chebyshev_reference_control", "control_energy", "cumulative_simpson",
-    "drift_flow", "endpoint_error", "energy_certificate",
-    "feedback_linearization_baseline", "fixed_point_error",
+    "NonFiniteState", "NotFullyActuated", "OdeProblem", "OutOfSpan",
+    "PicardDiverged", "PicardResult", "QuadratureRule", "RunArtifact",
+    "RunStatus", "SingularGramian", "SolverConfig", "SteeringProblem",
+    "StepLimitExceeded", "SynthesisConfig", "SynthesizedControl",
+    "Trajectory", "UnknownSystem", "ZeroControl", "adapt_step", "apply_map",
+    "assemble_mixed_from_samples", "assemble_symmetric_from_samples",
+    "chain_input_products", "chebyshev_reference_control", "control_energy",
+    "cumulative_simpson", "drift_flow", "endpoint_error",
+    "energy_certificate", "feedback_linearization_baseline",
     "flow_conjugate_profile", "flow_input_products", "integrate",
-    "jacobian_fd", "linear_system", "make_benchmark", "mindy_like", "residual",
+    "linear_system", "make_benchmark", "mindy_like", "residual",
     "run_baseline", "run_picard", "run_reference", "run_scale",
     "run_synthesize", "run_underactuated", "simpson_rule", "solve_gramian",
     "solve_trajectory",

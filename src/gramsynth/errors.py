@@ -21,10 +21,6 @@ class UnknownSystem(GramsynthError):
     """Requested benchmark name is not in the catalog."""
 
 
-class NonFiniteValue(GramsynthError):
-    """A finite-difference probe produced NaN or Inf."""
-
-
 class InvalidQuadrature(GramsynthError, ValueError):
     """Simpson rule requested with a node count that is not an odd integer
     >= 3 (a ValueError, so a config that sets one is a config error)."""

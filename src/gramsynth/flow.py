@@ -85,9 +85,6 @@ class Trajectory:
     def endpoint(self) -> np.ndarray:
         return self.solution.ys[-1].copy()
 
-    def state(self, t: float) -> np.ndarray:
-        return self.solution.eval(t)
-
 
 def _controlled_rhs(t, x, system, control):
     return system.drift(t, x) + system.input_matrix(t, x) @ control(t)
@@ -386,13 +383,15 @@ def flow_conjugate_profile(problem: SteeringProblem, traj: Trajectory,
     integrand = np.einsum("jim,jm->ji", D, traj.control.eval_many(rule.nodes))
     prefixes = cumulative_simpson(integrand, rule)  # ((K+1)//2, d)
     base = drift_flow(sys_, t0, tau, problem.x0, config)
-    times, defects = [], []
+    times, predicted = [], []
     for idx in check_indices:
         if idx % 2 != 0:
             raise ValueError("check indices must be even (Simpson prefixes)")
         t = float(rule.nodes[idx])
         shifted = base + prefixes[idx // 2]
-        predicted = drift_flow(sys_, tau, t, shifted, config)
+        predicted.append(drift_flow(sys_, tau, t, shifted, config))
         times.append(t)
-        defects.append(float(np.linalg.norm(traj.state(t) - predicted)))
-    return np.asarray(times), np.asarray(defects)
+    times = np.asarray(times)
+    states = traj.solution.eval_many(times)
+    return times, np.asarray([float(np.linalg.norm(x - p))
+                              for x, p in zip(states, predicted)])

@@ -30,7 +30,7 @@ from .picard import (RunStatus, SynthesisConfig, control_energy,
                      energy_certificate, run_picard)
 from .systems import SteeringProblem, make_benchmark, mindy_like
 
-SCHEMA = "v1"
+SCHEMA = "v2"
 
 
 # Every config key with its default.  The keys of the `synthesis` and
@@ -222,9 +222,8 @@ def _failed(command: str, cfg: ExperimentConfig,
 
 
 def _energy_fields(energy: float) -> dict:
-    """E(u) with the squared L2 norm 2E and the L2 norm of the control."""
-    return {"energy": energy, "energy_sq_norm": 2.0 * energy,
-            "control_l2_norm": float(np.sqrt(2.0 * energy))}
+    """E(u) with the L2 norm sqrt(2E) of the control."""
+    return {"energy": energy, "control_l2_norm": float(np.sqrt(2.0 * energy))}
 
 
 def _samples(ts, values, key: str) -> dict:

@@ -12,7 +12,9 @@ Anderson mixing, solving each pass's products only as accurately as the
 pass's endpoint error needs, records per-pass telemetry, stops on the
 iteration budget, endpoint tolerance or control-update tolerance, and
 returns a `PicardResult` that keeps the residual and, if solved, the
-returned control's trajectory.
+returned control's trajectory.  A pass forms the fixed-point residual
+F(u_n) - u_n once, at the quadrature nodes; the control-update stop and
+the mixing both read it, and the pass builds one control.
 """
 
 from __future__ import annotations
@@ -69,9 +71,8 @@ class SynthesisConfig:
     number of control values; the interpolated flow products themselves
     are never formed.  Each Gramian is factorized with the shift
     ``regularization`` * Id (finite, >= 0); a shifted solve is refined
-    against the unshifted Gramian.  The per-pass telemetry integrals
-    (``err_fp`` and the energy) use the 1001-point grids of
-    `fixed_point_error` and `control_energy`.
+    against the unshifted Gramian.  A pass's ``err_fp`` is read at the K
+    nodes; its energy uses the 1001-point grid of `control_energy`.
 
     ``solver`` is the tolerance of every trajectory and residual solve, so
     every endpoint error, and of pass 0's and `apply_map`'s products.  From
@@ -109,7 +110,7 @@ class IterationRecord:
 
     ``err_end`` is the endpoint error of the pass's iterate u_n, ``energy``
     its E(u_n) and ``wall_time`` the pass's time up to this record.
-    ``err_fp`` is sup |F(u_n) - u_n| on the 1001-point grid,
+    ``err_fp`` is max |F(u_n) - u_n| over the K quadrature nodes,
     ``gramian_condition`` the condition estimate of the pass's Gramian and
     ``product_rtol`` the rtol its flow and chain products were solved at.
     ``product_nodes`` is the number of flow-product samples its products
@@ -125,7 +126,6 @@ class IterationRecord:
     err_end: float
     err_fp: float
     energy: float
-    energy_sq_norm: float
     gramian_condition: float
     product_rtol: float
     product_nodes: float
@@ -244,10 +244,10 @@ class _AndersonMixer:
     """Type-II Anderson mixing of the Picard iterates' node values
     (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011).
 
-    A call takes an iterate's node values u, the map's values F(u) there
-    and its multiplier lam.  It returns the next iterate's values and
-    multiplier, g - dG gamma with g = (F(u), lam) and gamma the
-    least-squares solution of dF gamma = F(u) - u over the last
+    A call takes the residual f = F(u) - u at an iterate's nodes, the
+    map's values F(u) there and its multiplier lam.  It returns the next
+    iterate's values and multiplier, g - dG gamma with g = (F(u), lam) and
+    gamma the least-squares solution of dF gamma = f over the last
     `ANDERSON_MEMORY` differences dF of the residuals and dG of g; so the
     multiplier is the same affine combination of the pass multipliers as
     the values are of the pass values.  The first call has no difference
@@ -264,8 +264,8 @@ class _AndersonMixer:
         self._dg = np.empty((ANDERSON_MEMORY, n_values + n_lam))
         self._calls = 0
 
-    def __call__(self, u: np.ndarray, values: np.ndarray, lam: np.ndarray):
-        f = (values - u).ravel()
+    def __call__(self, f: np.ndarray, values: np.ndarray, lam: np.ndarray):
+        f = f.ravel()
         g = np.concatenate((values.ravel(), lam))
         c = self._calls
         df, dg = self._df, self._dg
@@ -290,13 +290,9 @@ def endpoint_error(traj: Trajectory, x1: np.ndarray) -> float:
     return float(np.linalg.norm(traj.endpoint - np.asarray(x1, dtype=float)))
 
 
-def fixed_point_error(u_next: ControlFunction, u: ControlFunction,
-                      grid_points: int = 1001) -> float:
-    """Sup over a uniform grid of |u_next(t) - u(t)| (grid sup, not ess-sup)."""
-    t0, T = u.span
-    ts = np.linspace(t0, T, grid_points)
-    diff = u_next.eval_many(ts) - u.eval_many(ts)
-    return float(np.max(np.linalg.norm(diff, axis=1)))
+def _sup_norm(f: np.ndarray) -> float:
+    """The largest row norm of a node residual f (K, k): a pass's err_fp."""
+    return float(np.max(np.linalg.norm(f, axis=1)))
 
 
 def control_energy(u: ControlFunction, t0: float, T: float,
@@ -327,10 +323,13 @@ def run_picard(problem, config: SynthesisConfig = SynthesisConfig(),
     (default zero).
 
     Pass n solves the trajectory of u_n and stops on ``eps_x`` before any
-    product is sampled; then it applies the map, giving F(u_n) and its
-    multiplier, stops on ``eps_u`` (returning F(u_n)), and forms u_{n+1}
-    by type-II Anderson mixing of the node values (`_AndersonMixer`),
-    with the multipliers combined by the same affine coefficients.  Pass
+    product is sampled; then it applies the map, giving F(u_n)'s node
+    values and its multiplier, and forms the node residual f = F(u_n) -
+    u_n once.  ``err_fp`` is the largest row norm of f; the pass stops on
+    ``eps_u`` (returning F(u_n)), or else forms u_{n+1} by type-II
+    Anderson mixing of the node values (`_AndersonMixer`, which
+    differences the same f), with the multipliers combined by the same
+    affine coefficients.  Either way the pass builds one control.  Pass
     0's pair is left out of the mixing history, so u_1 = F(u_0) and u_2 =
     F(u_1) as in plain Picard.
 
@@ -379,9 +378,8 @@ def run_picard(problem, config: SynthesisConfig = SynthesisConfig(),
             # the map is not applied: err_fp and the condition are unmeasured
             records.append(IterationRecord(
                 n=n, err_end=err_end, err_fp=math.nan, energy=energy,
-                energy_sq_norm=2.0 * energy, gramian_condition=math.nan,
-                product_rtol=math.nan, product_nodes=math.nan,
-                interp_estimate=math.nan,
+                gramian_condition=math.nan, product_rtol=math.nan,
+                product_nodes=math.nan, interp_estimate=math.nan,
                 wall_time=time.perf_counter() - tic))
             return PicardResult(u, records, RunStatus(
                 "endpoint_tolerance", n + 1, initial_ok,
@@ -404,19 +402,20 @@ def run_picard(problem, config: SynthesisConfig = SynthesisConfig(),
                 f"least-squares residual {sol.rel_residual:.3e} of |y| "
                 f"exceeds {DEFICIENCY_TOL:g}: Gramian not coercive on this "
                 "iterate", residual=sol.residual, rel_residual=sol.rel_residual)
-        update = _control(problem, config, nodes, values, sol.lam, sol)
-        err_fp = fixed_point_error(update, u)
+        f = values - u.eval_many(nodes)
+        err_fp = _sup_norm(f)
         records.append(IterationRecord(
             n=n, err_end=err_end, err_fp=err_fp, energy=energy,
-            energy_sq_norm=2.0 * energy,
             gramian_condition=sol.condition_estimate,
             product_rtol=solver.rtol, product_nodes=solved,
             interp_estimate=estimate, wall_time=time.perf_counter() - tic))
         # a loosened pass's F(u_n) is not accurate enough to return
         if err_fp <= config.eps_u and solver is config.solver:
-            return PicardResult(update, records, RunStatus(
-                "control_update_tolerance", n + 1, initial_ok,
-                f"err_fp={err_fp:.3e} <= {config.eps_u:g}"), y, None)
+            return PicardResult(
+                _control(problem, config, nodes, values, sol.lam, sol),
+                records, RunStatus(
+                    "control_update_tolerance", n + 1, initial_ok,
+                    f"err_fp={err_fp:.3e} <= {config.eps_u:g}"), y, None)
 
         err_trace.append(err_end)
         if diverging(err_trace):
@@ -425,12 +424,13 @@ def run_picard(problem, config: SynthesisConfig = SynthesisConfig(),
                 f"err_end grew from {e[0]:.3e} to {e[3]:.3e} over three "
                 "consecutive iterations")
 
+        lam = sol.lam
         if n > 0:   # pass 0's pair, from u0, stays out of the history
-            mixed = mixer(u.eval_many(nodes), values, sol.lam)
+            mixed = mixer(f, values, lam)
             if mixed is not None:
-                del update   # F(u_n)'s spline, so the mixed one reuses it
-                update = _control(problem, config, nodes, *mixed, sol)
-        u = update
+                values, lam = mixed
+        del f   # the mixer keeps its own copy; free it before the build
+        u = _control(problem, config, nodes, values, lam, sol)
 
     return PicardResult(u, records, RunStatus(
         "max_iterations", config.n_max, initial_ok,

@@ -3,8 +3,7 @@
 A system is the pair (N, B) of dx/dt = N_t(x) + B_t(x) u together with
 analytic Jacobian providers.  The drift and its Jacobian take a batch of
 states, so the variational solves of many samples run as one lockstep
-batch.  `jacobian_fd` is the finite-difference oracle used by the test
-suite to validate every analytic Jacobian.
+batch.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteValue, UnknownSystem
+from .errors import ConfigError, UnknownSystem
 from .ode import OdeProblem, SolverConfig, integrate
 
 Field = Callable[[float, np.ndarray], np.ndarray]
@@ -73,22 +72,6 @@ class SteeringProblem:
     @property
     def anchor_time(self) -> float:
         return self.t0 if self.anchor == 1 else self.T
-
-
-def jacobian_fd(f: Field, t: float, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of x -> f(t, x); test oracle only."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for j in range(x.size):
-        e = np.zeros_like(x)
-        e[j] = h
-        cols.append((np.asarray(f(t, x + e)) - np.asarray(f(t, x - e))) / (2 * h))
-    J = np.stack(cols, axis=1)
-    if not np.all(np.isfinite(J)):
-        raise NonFiniteValue("finite-difference probe produced NaN/Inf")
-    return J
 
 
 def drift_flow(system: ControlAffineSystem, s: float, t: float,

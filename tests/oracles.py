@@ -1,10 +1,13 @@
-"""Shooting oracles for the two synthesis fixed points, built on scipy alone.
+"""Test oracles built on numpy and scipy alone: a finite-difference
+Jacobian and shooting solutions of the two synthesis fixed points.
 
-Both oracles read only the system's ``drift``, ``input_matrix``,
-``drift_jacobian`` and ``closed_loop_jacobian`` (each checked against
-`jacobian_fd` in tests/test_systems.py) and integrate with scipy's DOP853
-at tight tolerances; no gramsynth integrator, quadrature or Picard code is
-involved, so they are independent references for the synthesized controls.
+`jacobian_fd` is the central-difference Jacobian that tests/test_systems.py
+checks every analytic Jacobian against.  The shooting oracles read only the
+system's ``drift``, ``input_matrix``, ``drift_jacobian`` and
+``closed_loop_jacobian`` (each checked against `jacobian_fd`) and
+integrate with scipy's DOP853 at tight tolerances; no gramsynth
+integrator, quadrature or Picard code is involved, so they are
+independent references for the synthesized controls.
 
 * `pontryagin_shooting` solves the minimum-energy two-point problem
   x' = N + B u, p' = -D_x[N + B u]^T p, u = B^T p by shooting on p(t0).
@@ -41,6 +44,22 @@ class OracleControl:
     u: np.ndarray          # (M, k) control samples
     l2: float              # sqrt(int_{t0}^{T} |u|^2 dt)
     residual: float        # |x(T) - x1| of the reported solution
+
+
+def jacobian_fd(f, t, x, h=1e-6):
+    """Central-difference Jacobian of x -> f(t, x)."""
+    if h <= 0:
+        raise ValueError("h must be positive")
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for j in range(x.size):
+        e = np.zeros_like(x)
+        e[j] = h
+        cols.append((np.asarray(f(t, x + e)) - np.asarray(f(t, x - e))) / (2 * h))
+    J = np.stack(cols, axis=1)
+    if not np.all(np.isfinite(J)):
+        raise FloatingPointError("finite-difference probe produced NaN/Inf")
+    return J
 
 
 def _solve(rhs, span, z0, dense=False):

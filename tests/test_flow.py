@@ -41,7 +41,7 @@ def test_zero_control_driftless_constant(tight_solver):
     system, problem = make_benchmark("unicycle")
     traj = solve_trajectory(problem, ZeroControl(2, (0.0, 2.0)), tight_solver)
     assert np.array_equal(traj.endpoint, problem.x0)
-    assert np.array_equal(traj.state(1.3), problem.x0)
+    assert np.array_equal(traj.solution.eval(1.3), problem.x0)
 
 
 def test_zero_control_reduces_to_drift_flow(tight_solver):
@@ -108,7 +108,7 @@ def test_flow_product_driftless_is_input(tight_solver):
     u = _const_control(2, 0.2)
     traj = solve_trajectory(problem, u, tight_solver)
     out = flow_input_products(traj, [0.8], 2.0, tight_solver)[0]
-    expect = system.input_matrix(0.8, traj.state(0.8))
+    expect = system.input_matrix(0.8, traj.solution.eval(0.8))
     assert np.max(np.abs(out - expect)) < 1e-12
 
 
@@ -124,7 +124,7 @@ def test_flow_product_fd_oracle(name, tight_solver):
     for _ in range(5):
         t = float(rng.uniform(problem.t0, problem.T))
         tau = problem.T if rng.random() < 0.5 else problem.t0
-        x_t = traj.state(t)
+        x_t = traj.solution.eval(t)
         B = system.input_matrix(t, x_t)
         P = flow_input_products(traj, [t], tau, tight_solver)[0]
         for j in range(system.k):
@@ -278,7 +278,7 @@ def test_flow_products_match_per_sample_reference(name, params, tight_solver,
     ts = np.linspace(problem.t0, problem.T, 9)
     row = system.d + system.d * system.k
     for tau in (problem.t0, problem.T):
-        refs = [_reference_flow_product(system, traj.state(t), t, tau)
+        refs = [_reference_flow_product(system, traj.solution.eval(t), t, tau)
                 for t in ts]
         # one batch of all nine samples, then batches of two rows
         for elements in (flow._BATCH_ELEMENTS, 2 * row):

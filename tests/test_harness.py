@@ -3,6 +3,7 @@
 import copy
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -99,7 +100,7 @@ def test_synthesize_artifact_files(tmp_path):
         assert (out / name).exists()
     with open(out / "telemetry.csv") as fh:
         header = fh.readline().strip().split(",")
-    assert header == ["n", "err_end", "err_fp", "energy", "energy_sq_norm",
+    assert header == ["n", "err_end", "err_fp", "energy",
                       "gramian_condition", "product_rtol", "product_nodes",
                       "interp_estimate", "wall_time"]
     with open(out / "control.csv") as fh:
@@ -115,11 +116,34 @@ def test_artifact_json_roundtrip_bit_exact(tmp_path):
     art = run_synthesize(cfg)
     path = art.save(cfg.out_dir)
     loaded = RunArtifact.load(path)
-    assert loaded.schema == "v1"
+    assert loaded.schema == "v2"
     assert loaded.telemetry == art.telemetry  # float-exact equality
     assert loaded.summary == art.summary
     assert loaded.control_samples == art.control_samples
     assert loaded.trajectory_samples == art.trajectory_samples
+
+
+def test_load_reads_a_v1_artifact(tmp_path):
+    # schema v1 records and summaries still carry energy_sq_norm = 2E
+    record = {"n": 0, "err_end": 0.5, "err_fp": 0.25, "energy": 1.5,
+              "energy_sq_norm": 3.0, "gramian_condition": 10.0,
+              "product_rtol": 1e-8, "product_nodes": 33,
+              "interp_estimate": 1e-12, "wall_time": 0.01}
+    v1 = {"command": "synthesize", "config": {"seed": 7},
+          "status": {"criterion": "max_iterations", "iterations": 1,
+                     "initial_gramian_ok": True, "message": "",
+                     "success": False},
+          "telemetry": [record],
+          "summary": {"energy": 1.5, "energy_sq_norm": 3.0,
+                      "control_l2_norm": math.sqrt(3.0)},
+          "control_samples": {}, "trajectory_samples": {},
+          "extra_tables": {}, "schema": "v1"}
+    path = tmp_path / "summary.json"
+    path.write_text(json.dumps(v1))
+    loaded = RunArtifact.load(str(path))
+    assert loaded.schema == "v1" and loaded.success is False
+    assert loaded.telemetry == [record]
+    assert loaded.summary["energy_sq_norm"] == 3.0
 
 
 def test_endpoint_stop_artifact_roundtrip(tmp_path):
@@ -184,7 +208,7 @@ def test_synthesize_error_artifact(tmp_path):
     assert art.status["message"] == ("StepLimitExceeded: no convergence "
                                      "within 3 step attempts")
     assert art.telemetry == [] and art.summary == {}
-    assert art.schema == "v1"
+    assert art.schema == "v2"
     art.save(cfg.out_dir)
     assert (tmp_path / "out" / "summary.json").exists()
     assert not (tmp_path / "out" / "telemetry.csv").exists()

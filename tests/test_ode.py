@@ -252,6 +252,7 @@ def test_step_counters():
     assert sol.n_rejected >= 0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_state_raises():
     def bad_field(t, y):
         # goes non-finite once the state leaves a bounded region

@@ -7,10 +7,10 @@ import pytest
 from scipy.linalg import expm
 
 from gramsynth import (InvalidQuadrature, SingularGramian, SolverConfig,
-                       SteeringProblem, SynthesisConfig, ZeroControl,
-                       apply_map, chain_input_products, control_energy,
-                       drift_flow, endpoint_error, energy_certificate,
-                       fixed_point_error, flow_input_products, linear_system,
+                       SteeringProblem, SynthesisConfig, SynthesizedControl,
+                       ZeroControl, apply_map, chain_input_products,
+                       control_energy, drift_flow, endpoint_error,
+                       energy_certificate, flow_input_products, linear_system,
                        make_benchmark, mindy_like, residual, run_picard,
                        simpson_rule, solve_trajectory)
 from gramsynth import picard
@@ -136,7 +136,9 @@ def test_minimum_energy_map_equals_general_for_lti(lti_pair, paper_solver):
         map_kind=kind, quadrature_points=1001, solver=paper_solver))[0]
         for kind in ("general", "minimum_energy"))
     assert (ug.map_kind, um.map_kind) == ("general", "minimum_energy")
-    assert fixed_point_error(um, ug, 401) < 1e-6
+    ts = np.linspace(0.0, 1.2, 401)
+    diff = um.eval_many(ts) - ug.eval_many(ts)
+    assert np.max(np.linalg.norm(diff, axis=1)) < 1e-6
 
 
 def test_unicycle_two_applications(paper_solver):
@@ -220,11 +222,10 @@ def test_records_are_finite_and_ordered(paper_solver):
     records = run_picard(problem, cfg).records
     assert [r.n for r in records] == list(range(len(records)))
     for r in records:
-        for v in (r.err_end, r.err_fp, r.energy, r.energy_sq_norm,
-                  r.gramian_condition, r.product_rtol, r.product_nodes,
-                  r.interp_estimate, r.wall_time):
+        for v in (r.err_end, r.err_fp, r.energy, r.gramian_condition,
+                  r.product_rtol, r.product_nodes, r.interp_estimate,
+                  r.wall_time):
             assert np.isfinite(v) and v >= 0.0
-        assert r.energy_sq_norm == pytest.approx(2.0 * r.energy)
 
 
 def test_anchor_equivalence_on_unicycle(paper_solver):
@@ -285,17 +286,6 @@ def test_endpoint_error_examples(paper_solver):
         == pytest.approx(5.0)
 
 
-def test_fixed_point_error_examples():
-    z = ZeroControl(1, (0.0, np.pi))
-    s = ClosedFormControl(lambda t: np.array([np.sin(t)]), k=1,
-                          span=(0.0, np.pi))
-    assert fixed_point_error(z, z) == 0.0
-    c = ClosedFormControl(lambda t: np.array([2.0]), k=1, span=(0.0, np.pi))
-    assert fixed_point_error(c, z) == pytest.approx(2.0)
-    assert fixed_point_error(s, z, grid_points=1001) == pytest.approx(
-        1.0, abs=1e-5)
-
-
 def test_control_energy_examples():
     c = ClosedFormControl(lambda t: np.array([3.0]), k=1, span=(0.0, 1.0))
     assert control_energy(c, 0.0, 1.0) == pytest.approx(4.5)
@@ -354,7 +344,7 @@ def test_mixing_solves_an_affine_contraction(n):
     mixer, x = picard._AndersonMixer(n, 2), np.zeros(n)
     for applications in range(1, 6):
         g = A @ x + b
-        mixed = mixer(x, g, C @ g + e)
+        mixed = mixer(g - x, g, C @ g + e)
         if mixed is None:
             x = g
             continue
@@ -436,6 +426,30 @@ def test_control_update_stop_applies_the_map_every_pass(lti_pair,
     assert len(calls) == result.status.iterations == 2
 
 
+def test_each_pass_builds_one_control(paper_solver, monkeypatch):
+    # the stop and the mixing read one node residual, so a mixing pass
+    # builds no spline of F(u_n) next to the mixed iterate's
+    builds = counted_calls(monkeypatch, SynthesizedControl, "__init__")
+    system, problem = make_benchmark("hopfield2d_full")
+    cfg = SynthesisConfig(quadrature_points=201, solver=paper_solver)
+    records = run_picard(problem, cfg).records
+    assert len(records) > 3   # mixing starts at pass 2
+    assert len(builds) == sum(np.isfinite(r.err_fp) for r in records)
+
+
+def test_err_fp_is_the_largest_node_residual(paper_solver):
+    # from the zero control the residual is F(u_0) itself, read at the
+    # nodes; the unicycle's F(u_0) is constant, and a sup of its spline
+    # between the nodes would differ in the last bits
+    system, problem = make_benchmark("unicycle")
+    cfg = SynthesisConfig(quadrature_points=201, solver=paper_solver,
+                          n_max=1, eps_x=1e-14, eps_u=1e-14)
+    records = run_picard(problem, cfg).records
+    u1, _ = _map(problem, ZeroControl(2, (problem.t0, problem.T)), cfg)
+    assert records[0].err_fp == np.max(np.linalg.norm(u1.grid_values,
+                                                      axis=1))
+
+
 # ---------------------------------------------------------------------------
 # product tolerances tied to the endpoint error
 
@@ -483,13 +497,13 @@ def test_control_update_stop_waits_for_a_configured_tolerance_pass(
         paper_solver, monkeypatch):
     # every pass after the first reports a converged control update; the
     # run must still go on until its products run at the configured rtol
-    real, calls = picard.fixed_point_error, []
+    real, calls = picard._sup_norm, []
 
-    def fake(u_next, u):
-        calls.append(u_next)
-        return real(u_next, u) if len(calls) == 1 else 0.0
+    def fake(f):
+        calls.append(f)
+        return real(f) if len(calls) == 1 else 0.0
 
-    monkeypatch.setattr(picard, "fixed_point_error", fake)
+    monkeypatch.setattr(picard, "_sup_norm", fake)
     system, problem = make_benchmark("hopfield2d_full")
     cfg = SynthesisConfig(map_kind="minimum_energy", quadrature_points=101,
                           solver=paper_solver, n_max=20, eps_x=1e-14,

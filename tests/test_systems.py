@@ -8,7 +8,8 @@ import pytest
 from scipy.linalg import expm
 
 from gramsynth import (ConfigError, SteeringProblem, UnknownSystem, drift_flow,
-                       jacobian_fd, linear_system, make_benchmark, mindy_like)
+                       linear_system, make_benchmark, mindy_like)
+from tests.oracles import jacobian_fd
 
 DESK_SYSTEMS = ["unicycle", "pendulum", "sir", "spacecraft",
                 "hopfield2d_full", "hopfield2d_under"]
