@@ -12,8 +12,7 @@ from .controls import (ClosedFormControl, ControlFunction, SynthesizedControl,
                        ZeroControl)
 from .errors import (ConfigError, GramsynthError, InvalidQuadrature,
                      NonFiniteState, NotFullyActuated, OutOfSpan,
-                     PicardDiverged, SingularGramian, StepLimitExceeded,
-                     UnknownSystem)
+                     SingularGramian, StepLimitExceeded, UnknownSystem)
 from .flow import (Trajectory, chain_input_products, flow_conjugate_profile,
                    flow_input_products, residual, solve_trajectory)
 from .gramian import (GramianMatrix, GramianSolve,
@@ -38,8 +37,8 @@ __all__ = [
     "ControlFunction", "DenseSolution", "ExperimentConfig", "GramianMatrix",
     "GramianSolve", "GramsynthError", "InvalidQuadrature", "IterationRecord",
     "NonFiniteState", "NotFullyActuated", "OdeProblem", "OutOfSpan",
-    "PicardDiverged", "PicardResult", "QuadratureRule", "RunArtifact",
-    "RunStatus", "SingularGramian", "SolverConfig", "SteeringProblem",
+    "PicardResult", "QuadratureRule", "RunArtifact", "RunStatus",
+    "SingularGramian", "SolverConfig", "SteeringProblem",
     "StepLimitExceeded", "SynthesisConfig", "SynthesizedControl",
     "Trajectory", "UnknownSystem", "ZeroControl", "adapt_step", "apply_map",
     "assemble_mixed_from_samples", "assemble_symmetric_from_samples",

@@ -3,7 +3,7 @@
 Subcommands: synthesize, scale, underactuated, baseline, reference.
 Common flags (--out, --seed, --format) override the config file; each
 setting has no other source.  Exit code 0 means a tolerance fired, 1 a
-failed run (running out of passes included), 2 a config error.
+failed run (stalled or out of passes included), 2 a config error.
 """
 
 from __future__ import annotations

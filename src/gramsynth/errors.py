@@ -35,11 +35,6 @@ class SingularGramian(GramsynthError):
         self.rel_residual = rel_residual
 
 
-class PicardDiverged(GramsynthError):
-    """Endpoint error grew persistently; the iteration is outside the
-    contraction regime."""
-
-
 class NotFullyActuated(GramsynthError):
     """Operation requires a square, invertible input matrix."""
 

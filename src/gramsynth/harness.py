@@ -27,7 +27,7 @@ from .errors import ConfigError, GramsynthError
 from .flow import solve_trajectory
 from .ode import SolverConfig
 from .picard import (RunStatus, SynthesisConfig, control_energy,
-                     energy_certificate, run_picard)
+                     endpoint_error, energy_certificate, run_picard)
 from .systems import SteeringProblem, make_benchmark, mindy_like
 
 SCHEMA = "v2"
@@ -41,7 +41,6 @@ _SECTIONS = {
     "export": {"samples": 1001, "format": "csv"},
     "scale": {"dims": [2, 8], "trials": 3},
     "underactuated": {"d": 100, "k": 50},
-    "reference": {"simulate": True},
 }
 _TOP_LEVEL = {"synthesis": {}, "solver": {}, "seed": 0, "out_dir": "runs/out",
               **_SECTIONS}
@@ -52,11 +51,24 @@ HORIZON = (0.0, 1.0)
 TARGET_UPPER = 0.5
 
 
+def _has_type(value, default) -> bool:
+    """``value`` has ``default``'s exact type (so a bool is no int), and so
+    has each item of a list, against the default's first item."""
+    return type(value) is type(default) and (
+        type(value) is not list
+        or all(_has_type(v, default[0]) for v in value))
+
+
 def _filled(where: str, given: dict, defaults: dict) -> dict:
-    """``given`` over ``defaults``, each value cast to its default's type."""
+    """``given`` over ``defaults``; a given value must have its default's
+    type, and a list or dict is copied."""
     unknown = sorted(set(given) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {unknown}")
+    for key, value in given.items():
+        if not _has_type(value, defaults[key]):
+            raise ConfigError(f"{key} in {where} must have the type of "
+                              f"its default {defaults[key]!r}, got {value!r}")
     return {key: type(d)(given.get(key, d)) for key, d in defaults.items()}
 
 
@@ -73,7 +85,6 @@ class ExperimentConfig:
     export: dict
     scale: dict
     underactuated: dict
-    reference: dict
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -81,8 +92,8 @@ class ExperimentConfig:
             top = _filled("the config", data, _TOP_LEVEL)
             sections = {name: _filled(name, top[name], defaults)
                         for name, defaults in _SECTIONS.items()}
-            dims = sorted(int(d) for d in sections["scale"]["dims"])
-            sections["scale"]["dims"] = dims
+            dims = sections["scale"]["dims"] = sorted(
+                sections["scale"]["dims"])
             cfg = cls(synthesis=SynthesisConfig(
                           solver=SolverConfig(**top["solver"]),
                           **top["synthesis"]),
@@ -291,21 +302,17 @@ def run_baseline(cfg: ExperimentConfig) -> RunArtifact:
 
 
 def run_reference(cfg: ExperimentConfig) -> RunArtifact:
-    """Seeded Chebyshev reference control, optionally simulated forward."""
+    """Seeded Chebyshev reference control, simulated forward."""
     system, problem = make_benchmark(cfg.system["name"], cfg.system["params"])
     u = chebyshev_reference_control(system.k, (problem.t0, problem.T),
                                     seed=cfg.seed)
+    endpoint, _, samples = _steer(cfg, problem, u)
     summary = {"system": system.name, "k": system.k,
                "degree": REFERENCE_DEGREE, "sigma": REFERENCE_SIGMA,
                "seed": cfg.seed,
                "coefficients": _jsonable(u.coefficients),
-               **_energy_fields(control_energy(u, problem.t0, problem.T))}
-    if cfg.reference["simulate"]:
-        endpoint, _, samples = _steer(cfg, problem, u)
-        summary["endpoint"] = _jsonable(endpoint)
-    else:
-        ts = np.linspace(problem.t0, problem.T, cfg.export["samples"])
-        samples = {"control_samples": _samples(ts, u.eval_many(ts), "u")}
+               **_energy_fields(control_energy(u, problem.t0, problem.T)),
+               "endpoint": _jsonable(endpoint)}
     return RunArtifact(command="reference", config=cfg.echo(),
                        status=_status(RunStatus("reference", 0, True), True),
                        telemetry=[],
@@ -347,15 +354,20 @@ def run_scale(cfg: ExperimentConfig) -> RunArtifact:
             tic = time.perf_counter()
             try:
                 result = run_picard(problem, cfg.synthesis)
+                wall = time.perf_counter() - tic
+                # the returned control's own error; an eps_u stop's was
+                # never solved
+                traj = result.trajectory or solve_trajectory(
+                    problem, result.control, cfg.synthesis.solver)
                 row.update(status=result.status.criterion,
                            iterations=result.status.iterations,
-                           err_end=result.records[-1].err_end)
+                           err_end=endpoint_error(traj, problem.x1))
                 if result.status.success:
                     ok_dims.append(d)
             except GramsynthError as exc:
+                wall = time.perf_counter() - tic
                 row.update(status=f"error:{type(exc).__name__}",
                            iterations=0, err_end=float("nan"))
-            wall = time.perf_counter() - tic
             row.update(wall_time_total=wall, time_per_iteration=(
                 wall / row["iterations"] if row["iterations"] else float("nan")))
             rows.append(row)

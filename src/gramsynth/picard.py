@@ -9,12 +9,11 @@ the product rows.  The flow products at the nodes are never formed: the
 Gramian and the node values are contracted from the Lobatto samples and
 their barycentric matrix.  `run_picard` iterates it with type-II
 Anderson mixing, solving each pass's products only as accurately as the
-pass's endpoint error needs, records per-pass telemetry, stops on the
-iteration budget, endpoint tolerance or control-update tolerance, and
-returns a `PicardResult` that keeps the residual and, if solved, the
-returned control's trajectory.  A pass forms the fixed-point residual
-F(u_n) - u_n once, at the quadrature nodes; the control-update stop and
-the mixing both read it, and the pass builds one control.
+pass's endpoint error needs, records per-pass telemetry, and returns a
+`PicardResult` on the endpoint or control-update tolerance, a stall or
+the iteration budget.  A pass forms the fixed-point residual F(u_n) - u_n
+once, at the quadrature nodes; the control-update stop and the mixing
+both read it, and the pass builds one control.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .controls import ControlFunction, SynthesizedControl, ZeroControl
-from .errors import PicardDiverged, SingularGramian
+from .errors import SingularGramian
 from .flow import (COLD_START, ProductRecord, Trajectory,
                    chain_input_products, flow_input_products, residual,
                    sampled_products, solve_trajectory, subgrid_tails)
@@ -48,6 +47,11 @@ ANDERSON_MEMORY = 3
 # 19(2), 1982; with Anderson mixing, Toth et al., SIAM J. Sci. Comput.
 # 39(5), 2017).
 _PRODUCT_TOL_FRACTION = 1e-2
+
+# `run_picard` stops after `_STALL_PASSES` passes in a row without
+# progress: an endpoint error below this factor times the last progress's.
+_PROGRESS_FACTOR = 0.9
+_STALL_PASSES = 12
 
 
 @dataclass(frozen=True)
@@ -119,7 +123,7 @@ class IterationRecord:
     the previous pass's grid, see `SynthesisConfig`) and
     ``interp_estimate`` is the accepted grid's Chebyshev tail relative to
     max|D| (0 on a direct solve).  A pass that stops on the endpoint
-    tolerance applies no map, so these five are NaN in its record.
+    tolerance or stalls applies no map: these five are NaN in its record.
     """
 
     n: int
@@ -135,9 +139,11 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class RunStatus:
-    """Which termination criterion fired, plus feasibility reporting."""
+    """Which termination criterion fired (endpoint_tolerance,
+    control_update_tolerance, stalled or max_iterations), plus feasibility
+    reporting."""
 
-    criterion: str          # endpoint_tolerance | control_update_tolerance | max_iterations
+    criterion: str
     iterations: int
     initial_gramian_ok: Optional[bool]   # None: no Gramian was solved
     message: str = ""
@@ -154,8 +160,8 @@ class PicardResult:
     """The outcome of `run_picard`.
 
     ``residual`` is the run's y; ``trajectory`` is the trajectory of
-    ``control`` when the last pass solved it (an endpoint-tolerance stop),
-    else None.  Unpacking yields ``(control, records, status)``.
+    ``control``, None on a control-update stop (no pass solved that
+    F(u_n)).  Unpacking yields ``(control, records, status)``.
     """
 
     control: ControlFunction
@@ -309,14 +315,6 @@ def energy_certificate(y: np.ndarray, lam: np.ndarray) -> float:
     return 0.5 * float(np.asarray(y) @ np.asarray(lam))
 
 
-def diverging(err_trace) -> bool:
-    """Abort rule: three consecutive endpoint-error increases totalling x10."""
-    if len(err_trace) < 4:
-        return False
-    e = err_trace[-4:]
-    return e[3] > e[2] > e[1] > e[0] and e[3] >= 10.0 * e[0]
-
-
 def run_picard(problem, config: SynthesisConfig = SynthesisConfig(),
                u0: Optional[ControlFunction] = None) -> PicardResult:
     """Anderson-mixed Picard iteration of the selected map from u0
@@ -354,8 +352,12 @@ def run_picard(problem, config: SynthesisConfig = SynthesisConfig(),
     `solve_gramian` only flags: at the initial iterate the minimum-norm
     least-squares solve proceeds and is reported via
     ``status.initial_gramian_ok``; from iteration 1 on it raises
-    `SingularGramian`.  Persistent endpoint-error growth (three consecutive
-    increases totalling x10) raises `PicardDiverged`.
+    `SingularGramian`.  A pass makes progress when its ``err_end`` is below
+    `_PROGRESS_FACTOR` times that of the last pass that did (pass 0 does).
+    A run that misses its tolerances stops as ``stalled`` on the
+    `_STALL_PASSES`-th pass in a row without progress, before the map, or
+    as ``max_iterations`` after ``config.n_max`` passes; like the endpoint
+    stop, both return the iterate of lowest ``err_end`` with its trajectory.
     """
     # the drift flow of x0 or x1 does not depend on u: solved once per run
     y = residual(problem, config.solver)
@@ -363,7 +365,8 @@ def run_picard(problem, config: SynthesisConfig = SynthesisConfig(),
         problem.system.k, (problem.t0, problem.T))
 
     records: List[IterationRecord] = []
-    err_trace: List[float] = []
+    best = (math.inf,)   # (err_end, n, u, trajectory) of the lowest err_end
+    progress_err, progress_n = math.inf, 0   # of the last pass with progress
     initial_ok = None
     learned: Optional[ProductRecord] = None   # from the last pass's products
     mixer = _AndersonMixer(config.quadrature_points * problem.system.k,
@@ -374,16 +377,24 @@ def run_picard(problem, config: SynthesisConfig = SynthesisConfig(),
         traj = solve_trajectory(problem, u, config.solver)
         err_end = endpoint_error(traj, problem.x1)
         energy = control_energy(u, problem.t0, problem.T)
+        if err_end < best[0]:
+            best = (err_end, n, u, traj)
+        if err_end < _PROGRESS_FACTOR * progress_err:
+            progress_err, progress_n = err_end, n
+        stop = None   # (criterion, message)
         if err_end <= config.eps_x:
+            stop = ("endpoint_tolerance",
+                    f"err_end={err_end:.3e} <= {config.eps_x:g}")
+        elif n - progress_n == _STALL_PASSES:
+            stop = ("stalled", f"no progress in {_STALL_PASSES} passes")
+        if stop:
             # the map is not applied: err_fp and the condition are unmeasured
             records.append(IterationRecord(
                 n=n, err_end=err_end, err_fp=math.nan, energy=energy,
                 gramian_condition=math.nan, product_rtol=math.nan,
                 product_nodes=math.nan, interp_estimate=math.nan,
                 wall_time=time.perf_counter() - tic))
-            return PicardResult(u, records, RunStatus(
-                "endpoint_tolerance", n + 1, initial_ok,
-                f"err_end={err_end:.3e} <= {config.eps_x:g}"), y, traj)
+            break
 
         solver = config.solver
         factor = _PRODUCT_TOL_FRACTION * err_end / solver.rtol
@@ -417,13 +428,6 @@ def run_picard(problem, config: SynthesisConfig = SynthesisConfig(),
                     "control_update_tolerance", n + 1, initial_ok,
                     f"err_fp={err_fp:.3e} <= {config.eps_u:g}"), y, None)
 
-        err_trace.append(err_end)
-        if diverging(err_trace):
-            e = err_trace[-4:]
-            raise PicardDiverged(
-                f"err_end grew from {e[0]:.3e} to {e[3]:.3e} over three "
-                "consecutive iterations")
-
         lam = sol.lam
         if n > 0:   # pass 0's pair, from u0, stays out of the history
             mixed = mixer(f, values, lam)
@@ -431,7 +435,7 @@ def run_picard(problem, config: SynthesisConfig = SynthesisConfig(),
                 values, lam = mixed
         del f   # the mixer keeps its own copy; free it before the build
         u = _control(problem, config, nodes, values, lam, sol)
-
-    return PicardResult(u, records, RunStatus(
-        "max_iterations", config.n_max, initial_ok,
-        f"stopped after N_max={config.n_max}"), y, None)
+    else:
+        stop = ("max_iterations", f"stopped after N_max={config.n_max}")
+    return PicardResult(best[2], records, RunStatus(
+        stop[0], len(records), initial_ok, stop[1]), y, best[3])

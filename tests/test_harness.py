@@ -56,10 +56,18 @@ def test_config_validation_errors():
         ExperimentConfig.from_dict({"sede": 1})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(["seed"])
-    for section in ("system", "export", "scale", "underactuated",
-                    "reference"):
+    for section in ("system", "export", "scale", "underactuated"):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({section: {"typo": 1}})
+    # a value has its default's type: nothing is cast, a bool is no int
+    for data in ({"reference": {"simulate": "false"}},   # no such section
+                 {"scale": {"trials": 2.7}}, {"scale": {"dims": [3.9]}},
+                 {"seed": 7.9}, {"seed": True}, {"seed": "7"},
+                 {"export": {"samples": 51.0}}, {"out_dir": 1},
+                 {"underactuated": {"d": True}}, {"system": {"name": 1}},
+                 {"scale": {"dims": 3}}, {"scale": []}):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(data)
     with pytest.raises(ConfigError):   # synthesis.n_max drives every command
         ExperimentConfig.from_dict({"scale": {"n_max": 10}})
     with pytest.raises(ConfigError):
@@ -237,7 +245,6 @@ def test_baseline_not_fully_actuated(tmp_path):
 def test_reference_artifact_and_determinism(tmp_path):
     base = {
         "system": {"name": "unicycle"},
-        "reference": {"simulate": True},
         "solver": {"rtol": 1e-7, "atol": 1e-9},
         "seed": 42,
         "export": {"samples": 51},
@@ -249,23 +256,6 @@ def test_reference_artifact_and_determinism(tmp_path):
     assert a.summary["endpoint"] == b.summary["endpoint"]
     coeffs = np.asarray(a.summary["coefficients"])
     assert coeffs.shape == (2, 6)
-
-
-def test_reference_without_simulation(tmp_path):
-    base = {
-        "system": {"name": "unicycle"},
-        "reference": {"simulate": False},
-        "seed": 42,
-        "export": {"samples": 51},
-    }
-    cfg = _cfg(tmp_path, base=base)
-    art = run_reference(cfg)
-    assert art.success
-    assert "endpoint" not in art.summary
-    assert "err_end" not in art.summary
-    art.save(cfg.out_dir)
-    assert (tmp_path / "out" / "control.csv").exists()
-    assert not (tmp_path / "out" / "trajectory.csv").exists()
 
 
 def test_synthesize_certificate_with_anchor_override(tmp_path):
@@ -304,6 +294,37 @@ def test_scale_run_structure_and_determinism(tmp_path):
     art.save(str(tmp_path / "out"))
     assert (tmp_path / "out" / "scale.csv").exists()
     assert (tmp_path / "out" / "scale_aggregates.csv").exists()
+
+
+def test_scale_row_reports_the_returned_controls_error(tmp_path,
+                                                       monkeypatch):
+    # an eps_u stop returns F(u_n), whose endpoint error is not the last
+    # record's: the row solves its trajectory once
+    results = []
+    real = harness.run_picard
+
+    def kept(problem, config):
+        results.append((problem, real(problem, config)))
+        return results[-1][1]
+
+    monkeypatch.setattr(harness, "run_picard", kept)
+    base = {
+        "scale": {"dims": [2], "trials": 1},
+        "synthesis": {"n_max": 20, "eps_x": 1e-14, "eps_u": 1e-6,
+                      "quadrature_points": 51},
+        "solver": {"rtol": 1e-7, "atol": 1e-9},
+        "seed": 17,
+    }
+    cfg = _cfg(tmp_path, base=base)
+    art = run_scale(cfg)
+    [row] = [dict(zip(art.extra_tables["scale"]["columns"], r))
+              for r in art.extra_tables["scale"]["rows"]]
+    [(problem, result)] = results
+    assert row["status"] == "control_update_tolerance"
+    traj = flow.solve_trajectory(problem, result.control,
+                                 cfg.synthesis.solver)
+    err = float(np.linalg.norm(traj.endpoint - problem.x1))
+    assert row["err_end"] == err != result.records[-1].err_end
 
 
 def test_underactuated_small_surrogate(tmp_path):

@@ -5,8 +5,10 @@ needs no linter.  Package ``__init__.py`` files re-export by importing,
 and a line marked ``# noqa: F401`` is an intended re-export; both are
 exempt.  Every module-level private name (``_x``) defined in
 ``src/gramsynth`` is referenced somewhere in ``src/gramsynth``, so a
-deletion leaves no orphaned helper or constant behind.  And
-``import gramsynth`` loads no scipy beyond ``scipy.linalg``'s own needs.
+deletion leaves no orphaned helper or constant behind.  Every
+`GramsynthError` subclass is raised somewhere in ``src/gramsynth``, so a
+retired error type does not linger.  And ``import gramsynth`` loads no
+scipy beyond ``scipy.linalg``'s own needs.
 """
 
 import ast
@@ -84,6 +86,27 @@ def test_no_unreferenced_private_names():
                      if name not in referenced)
     assert len(trees) > 10
     assert orphans == []
+
+
+def test_every_error_type_is_raised():
+    src = ROOT / "src" / "gramsynth"
+    errors = {"GramsynthError"}
+    for node in ast.parse((src / "errors.py").read_text()).body:
+        bases = {b.id for b in getattr(node, "bases", ())
+                 if isinstance(b, ast.Name)}
+        if isinstance(node, ast.ClassDef) and bases & errors:
+            errors.add(node.name)
+    errors.discard("GramsynthError")
+    raised = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert len(errors) >= 8
+    assert sorted(errors - raised) == []
 
 
 def test_import_leaves_heavy_scipy_subpackages_unloaded():

@@ -247,9 +247,9 @@ def test_result_unpacks_as_control_records_status(paper_solver):
     u, records, status = result
     assert u is result.control and records is result.records
     assert status is result.status
-    # no pass solved the trajectory of the last iterate
+    # a budget stop returns the best iterate with its solved trajectory
     assert status.criterion == "max_iterations"
-    assert result.trajectory is None
+    assert result.trajectory.control is u
 
 
 def test_synthesis_config_validation():
@@ -518,15 +518,65 @@ def test_control_update_stop_waits_for_a_configured_tolerance_pass(
             <= paper_solver.rtol)
 
 
-def test_divergence_guard_rule():
-    from gramsynth.picard import diverging
+# ---------------------------------------------------------------------------
+# stops that miss the tolerances return the best iterate
 
-    assert diverging([1.0, 2.0, 5.0, 11.0])
-    assert diverging([0.1, 1.0, 2.0, 5.0, 11.0])      # windowed on the tail
-    assert not diverging([1.0, 2.0, 5.0])             # too short
-    assert not diverging([1.0, 0.5, 0.6, 0.55])       # not increasing
-    assert not diverging([1.0, 2.0, 3.0, 9.0])        # under the x10 bar
-    assert not diverging([1.0, 2.0, 2.0, 11.0])       # not strictly monotone
+def _scripted_run(monkeypatch, errors, n_max):
+    """run_picard on the fully actuated Hopfield network with each pass's
+    ``err_end`` read from ``errors``, and the (u, trajectory) pair of each
+    trajectory solve."""
+    script = iter(errors)
+    monkeypatch.setattr(picard, "endpoint_error",
+                        lambda traj, x1: next(script))
+    solved, real = [], picard.solve_trajectory
+
+    def spy(problem, u, solver):
+        solved.append((u, real(problem, u, solver)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(picard, "solve_trajectory", spy)
+    system, problem = make_benchmark("hopfield2d_full")
+    cfg = SynthesisConfig(quadrature_points=51, n_max=n_max, eps_x=1e-14,
+                          eps_u=1e-14,
+                          solver=SolverConfig(rtol=1e-8, atol=1e-10))
+    return run_picard(problem, cfg), solved
+
+
+def test_flat_tail_stalls_with_the_lowest_error_iterate(monkeypatch):
+    # pass 2 is the last to cut err_end below 0.9 x the last progress; the
+    # tail's new minimum at pass 8 is no progress but is what is returned
+    tail = [0.099, 0.095, 0.097, 0.096, 0.098, 0.0905, 0.094, 0.0999,
+            0.093, 0.092, 0.095, 0.091]
+    assert len(tail) == picard._STALL_PASSES
+    result, solved = _scripted_run(monkeypatch, [1.0, 0.5, 0.1] + tail, 30)
+    assert result.status.criterion == "stalled"
+    assert not result.status.success
+    assert result.status.iterations == len(result.records) == len(solved) \
+        == 15
+    u, traj = solved[8]
+    assert result.control is u and result.trajectory is traj
+    # the stalled pass applies no map
+    assert np.isnan(result.records[-1].err_fp)
+    assert all(np.isfinite(r.err_fp) for r in result.records[:-1])
+
+
+def test_rising_error_stalls_with_u0(monkeypatch):
+    errors = [2.0 ** n for n in range(picard._STALL_PASSES + 1)]
+    result, solved = _scripted_run(monkeypatch, errors, 30)
+    assert result.status.criterion == "stalled"
+    assert result.status.iterations == picard._STALL_PASSES + 1
+    assert isinstance(result.control, ZeroControl)
+    assert result.control is solved[0][0]
+    assert result.trajectory is solved[0][1]
+
+
+def test_budget_stop_returns_the_best_iterate(monkeypatch):
+    result, solved = _scripted_run(monkeypatch,
+                                   [1.0, 0.5, 0.3, 0.2, 0.25, 0.22], 6)
+    assert result.status.criterion == "max_iterations"
+    assert result.status.iterations == len(solved) == 6
+    u, traj = solved[3]
+    assert result.control is u and result.trajectory is traj
 
 
 # ---------------------------------------------------------------------------
