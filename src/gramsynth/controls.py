@@ -7,14 +7,12 @@ values on the synthesis grid and answer queries between grid nodes through
 a cubic spline held as a (4, K-1, k) coefficient array, built here the
 way scipy's `CubicSpline` builds it, so no scipy spline object (and no
 `scipy.interpolate`) is needed: `eval_many` evaluates a sample grid in one
-vectorized pass, bit-identical to `CubicSpline`, and a scalar call reads
-the interval's cubic straight from the coefficient array, summing its
-terms in the same order, so both paths give the same bits.
+vectorized pass, bit-identical to `CubicSpline`, and a call at one time
+is `eval_many` of that time, so both give the same bits.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Callable, Tuple
 
 import numpy as np
@@ -142,31 +140,15 @@ class SynthesizedControl(ControlFunction):
             raise ValueError("grid_ts must be 2 or more strictly increasing "
                              "times and grid_values finite, one row each")
         self._coef = _spline_coefficients(ts, vals)
-        self._knots = self.grid_ts.tolist()  # for bisect
 
     def __call__(self, t: float) -> np.ndarray:
-        """The scalar path: exact at grid nodes, else the interval's cubic."""
-        t = float(t)
-        knots = self._knots
-        i = bisect_left(knots, t)
-        if i < len(knots) and knots[i] == t:
-            return self.grid_values[i].copy()
-        i = min(max(i - 1, 0), len(knots) - 2)   # end cubics extrapolate
-        z = t - knots[i]
-        z2 = z * z
-        z3 = z2 * z
-        # eval_many's terms in its order, so both paths agree bit for bit;
-        # in float arithmetic per channel, which beats numpy's per-call
-        # overhead at the few channels a right-hand side asks for
-        return np.array([c2 * z + c3 + c1 * z2 + c0 * z3 for c0, c1, c2, c3
-                         in self._coef[:, i].T.tolist()])
+        return self.eval_many([t])[0]
 
     def eval_many(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float).ravel()
         grid = self.grid_ts
-        # j: last node at or before t (-1 before the span)
-        j = np.searchsorted(grid, ts, side="right") - 1
-        i = np.clip(j, 0, grid.size - 2)         # end cubics extrapolate
+        # the interval of each t; the end cubics extrapolate
+        i = np.searchsorted(grid[1:-1], ts, side="right")
         z = (ts - grid[i])[:, None]
         z2 = z * z
         c0, c1, vals, c3 = (row[i] for row in self._coef)   # copies
@@ -179,6 +161,7 @@ class SynthesizedControl(ControlFunction):
         c0 *= z2 * z
         vals += c0
         # exact samples where queries hit grid nodes
-        on_node = grid[np.maximum(j, 0)] == ts
-        vals[on_node] = self.grid_values[j[on_node]]
+        node = i + (grid[i + 1] == ts)
+        on_node = grid[node] == ts
+        vals[on_node] = self.grid_values[node[on_node]]
         return vals

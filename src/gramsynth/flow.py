@@ -22,6 +22,10 @@ Two matrix-valued products feed the Gramians:
   times B, pushed through the drift variational equation back to the
   anchor.  R_u(T,t) is the Pontryagin costate, so one dense backward
   d x d solve and one push give every sample.
+
+The trajectory's right-hand side reads the control, and the costate's the
+closed-loop Jacobian along the trajectory, for all the stage times of a
+step attempt at once (`_StageValues`, an `OdeProblem.prepare` hook).
 """
 
 from __future__ import annotations
@@ -40,9 +44,11 @@ from .quadrature import cumulative_simpson, simpson_rule
 from .systems import ControlAffineSystem, SteeringProblem, drift_flow
 
 # The costate is read between steps from the degree-7 dense interpolant,
-# one order less accurate than the step itself, so its solve runs at this
-# fraction of the products' rtol and atol: the configured ones, or those
-# of a Picard pass whose products are loosened to its endpoint error.
+# one order less accurate than the step itself, so a solve at the
+# configured tolerance runs at this fraction of its rtol and atol.  The
+# costate of a Picard pass whose products are loosened to its endpoint
+# error runs at the pass's own tolerance: that pass's F(u_n) only feeds
+# the mixing, and is never returned.
 _COSTATE_TOL_FACTOR = 1e-2
 
 # Elements (rows x (d + d*m)) of one lockstep variational batch.  One pass
@@ -86,6 +92,29 @@ class Trajectory:
         return self.solution.ys[-1].copy()
 
 
+class _StageValues:
+    """A function of time alone, ``read(ts)`` giving its values at the
+    times ts along the leading axis.  `prepare`, an `OdeProblem.prepare`
+    hook, reads them at a step attempt's stage times, and a call returns
+    the row of its time, or reads a time that was not prepared alone.
+    Only the current attempt's values are kept."""
+
+    def __init__(self, read):
+        self._read = read
+        self._rows = {}
+        self._values = None
+
+    def prepare(self, ts):
+        self._values = self._read(ts)
+        self._rows = dict(zip(ts.tolist(), range(ts.size)))
+
+    def __call__(self, t):
+        i = self._rows.get(t)
+        if i is None:
+            return self._read(np.array([t]))[0]
+        return self._values[i]
+
+
 def _controlled_rhs(t, x, system, control):
     return system.drift(t, x) + system.input_matrix(t, x) @ control(t)
 
@@ -93,8 +122,10 @@ def _controlled_rhs(t, x, system, control):
 def solve_trajectory(problem: SteeringProblem, u,
                      config: SolverConfig = SolverConfig()) -> Trajectory:
     """Dense solution of dx/dt = N + B u from x0 over [t0, T]."""
-    rhs = partial(_controlled_rhs, system=problem.system, control=u)
-    sol = integrate(OdeProblem(rhs, problem.t0, problem.T, problem.x0), config)
+    control = _StageValues(u.eval_many)
+    rhs = partial(_controlled_rhs, system=problem.system, control=control)
+    sol = integrate(OdeProblem(rhs, problem.t0, problem.T, problem.x0,
+                               prepare=control.prepare), config)
     return Trajectory(system=problem.system, control=u, solution=sol)
 
 
@@ -328,30 +359,39 @@ class ProductRecord:
                    default=self.degree), step
 
 
-def _costate_rhs(s, lam_flat, traj, u, d):
-    x = traj.solution.eval(s)
-    J = traj.system.closed_loop_jacobian(s, x, u(s))
-    return -(lam_flat.reshape(d, d) @ J).ravel()
+def _closed_loop_jacobians(ts, traj, u):
+    """J_cl along the trajectory at the times ts, with u; (len(ts), d, d)."""
+    return traj.system.closed_loop_jacobian(
+        ts, traj.solution.eval_many(ts), u.eval_many(ts))
+
+
+def _costate_field(s, lam_flat, jacobian, d):
+    return -(lam_flat.reshape(d, d) @ jacobian(s)).ravel()
 
 
 def chain_input_products(traj: Trajectory, u, ts, tau: float,
-                         config: SolverConfig = SolverConfig()) -> np.ndarray:
+                         config: SolverConfig = SolverConfig(),
+                         loosened: bool = False) -> np.ndarray:
     """D Phi_{T,tau}(x_u(T)) R_u(T,t) B_t(x_u(t)) at sample times ts.
 
     R_u(T,t) is the costate Lam(t) of dLam/dt = -Lam J_cl(t), Lam(T) = I,
     so one dense backward solve serves every sample; the push from the
     horizon to the anchor is one drift-variational solve of the identity.
-    The samples are read from the costate and the trajectory and multiplied
-    one chunk at a time, sized as in `flow_input_products`.  Returns shape
-    (len(ts), d, k).
+    The costate runs at `_COSTATE_TOL_FACTOR` times ``config``'s rtol and
+    atol, or at ``config`` itself for the ``loosened`` products of an
+    inexact Picard pass.  The samples are read from the costate and the
+    trajectory and multiplied one chunk at a time, sized as in
+    `flow_input_products`.  Returns shape (len(ts), d, k).
     """
     sys_ = traj.system
     d, k, T = sys_.d, sys_.k, traj.T
-    costate_config = replace(config, rtol=config.rtol * _COSTATE_TOL_FACTOR,
-                             atol=config.atol * _COSTATE_TOL_FACTOR)
-    rhs = partial(_costate_rhs, traj=traj, u=u, d=d)
-    costate = integrate(OdeProblem(rhs, T, traj.t0, np.eye(d).ravel()),
-                        costate_config)
+    costate_config = config if loosened else replace(
+        config, rtol=config.rtol * _COSTATE_TOL_FACTOR,
+        atol=config.atol * _COSTATE_TOL_FACTOR)
+    jacobian = _StageValues(partial(_closed_loop_jacobians, traj=traj, u=u))
+    rhs = partial(_costate_field, jacobian=jacobian, d=d)
+    costate = integrate(OdeProblem(rhs, T, traj.t0, np.eye(d).ravel(),
+                                   prepare=jacobian.prepare), costate_config)
     push = None if tau == T else _drift_variational(
         sys_, np.array([T]), tau, traj.endpoint[None], np.eye(d)[None],
         config)[0][0]

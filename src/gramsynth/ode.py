@@ -19,17 +19,22 @@ lockstep: the rows share one step sequence, and a step is accepted on the
 largest of the rows' error norms, so every row meets rtol/atol as it
 would solved alone (Hairer, Norsett & Wanner, "Solving ODEs I", II.4).
 
+Every stage time of an explicit step attempt is known before its first
+stage runs (ibid., II.1), so a problem with a ``prepare`` hook is handed
+all of them at once, and a vector field that depends on time through
+coefficients alone can read those for the whole attempt in one call.
+
 The degree-7 interpolant of a step is a fixed weighted sum of its seven
 coefficient rows (ibid., II.6).  `DenseSolution.eval_many` evaluates it
 for a whole sample grid in one vectorized pass; `DenseSolution.eval` is
-the lean scalar path that right-hand sides call, with the same weights.
+its one-time wrapper.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -45,6 +50,16 @@ MAX_FACTOR = 10.0
 H_MIN_FRACTION = 1e-14
 
 
+def _is_real(x) -> bool:
+    """x is a real number, and not a bool."""
+    return isinstance(x, Real) and not isinstance(x, bool)
+
+
+def _is_count(x) -> bool:
+    """x is an integer, and not a bool."""
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Tolerances and step budget of `integrate`."""
@@ -54,10 +69,13 @@ class SolverConfig:
     max_steps: int = 200_000
 
     def __post_init__(self):
-        if not (self.rtol > 0.0 and self.atol > 0.0):
-            raise ValueError("rtol and atol must be positive")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+        if not all(_is_real(tol) and tol > 0.0
+                   for tol in (self.rtol, self.atol)):
+            raise ValueError(f"rtol and atol must be positive numbers, got "
+                             f"{self.rtol!r} and {self.atol!r}")
+        if not (_is_count(self.max_steps) and self.max_steps >= 1):
+            raise ValueError(
+                f"max_steps must be an integer >= 1, got {self.max_steps!r}")
 
 
 @dataclass(frozen=True)
@@ -68,12 +86,19 @@ class OdeProblem:
     takes and returns arrays of the shape of ``y0``.  The state it is
     handed may be a workspace that the solver overwrites afterwards, so it
     must not keep a reference to it.
+
+    ``prepare``, when given, is called at the start of every step attempt
+    with the array of all the times at which the attempt will call the
+    vector field: t + c_s h for the stages s = 1..15, then the step's end.
+    The vector field is also called at times it was not handed: at
+    t_start, and once more by the automatic starting step.
     """
 
     vector_field: Callable[[float, np.ndarray], np.ndarray]
     t_start: float
     t_end: float
     y0: np.ndarray
+    prepare: Optional[Callable[[np.ndarray], None]] = None
 
     def __post_init__(self):
         if self.t_start == self.t_end:
@@ -154,16 +179,17 @@ class DenseSolution:
     n_accepted: int
     n_rejected: int
     next_step: float
-    _ts_asc: np.ndarray = field(init=False, repr=False)
-    _knots: list = field(init=False, repr=False)
+    _inner: np.ndarray = field(init=False, repr=False)
     _ascending: bool = field(init=False, repr=False)
     _bounds: Tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
         self._ascending = bool(self.ts[-1] >= self.ts[0])
-        self._ts_asc = self.ts if self._ascending else self.ts[::-1]
-        self._knots = self._ts_asc.tolist()
-        lo, hi = self._knots[0], self._knots[-1]
+        ts_asc = self.ts if self._ascending else self.ts[::-1]
+        # the ascending step of t is the count of inner knots <= t, so
+        # the end steps also take times in the rounding slack
+        self._inner = ts_asc[1:-1]
+        lo, hi = float(ts_asc[0]), float(ts_asc[-1])
         slack = 1e-12 * (hi - lo) + 4e-16 * max(abs(lo), abs(hi), 1.0)
         self._bounds = (lo - slack, hi + slack)
 
@@ -175,60 +201,42 @@ class DenseSolution:
     def step_count(self) -> int:
         return len(self.ts) - 1
 
-    def _check(self, t_min, t_max):
-        if self.segments is None:
-            raise OutOfSpan("solution was integrated without dense output")
-        lo, hi = self._bounds
-        if not (t_min >= lo and t_max <= hi):
-            raise OutOfSpan(f"t in [{t_min}, {t_max}] outside span "
-                            f"[{self._knots[0]}, {self._knots[-1]}]")
-
     def eval(self, t: float) -> np.ndarray:
         """State at time t (closed span, up to a rounding slack)."""
-        self._check(t, t)
-        knots = self._knots
-        last = len(knots) - 2
-        i = min(max(bisect_right(knots, t) - 1, 0), last)
-        ta, tb = knots[i], knots[i + 1]
-        j = i
-        if not self._ascending:
-            j, ta, tb = last - i, tb, ta
-        if t == ta:
-            return self.ys[j].copy()
-        if t == tb:
-            return self.ys[j + 1].copy()
-        F = self.segments[j]
-        w = np.array(_weights((t - ta) / (tb - ta)))
-        return self.ys[j] + (w @ F.reshape(len(w), -1)).reshape(F.shape[1:])
+        return self.eval_many([t])[0]
 
     def eval_many(self, ts) -> np.ndarray:
-        """`eval` at every element of ts in one pass; (ts.size, *state)."""
+        """The state at every element of ts; (ts.size, *state shape)."""
+        if self.segments is None:
+            raise OutOfSpan("solution was integrated without dense output")
         t = np.asarray(ts, dtype=float).ravel()
-        self._check(t.min(initial=np.inf), t.max(initial=-np.inf))
-        last = len(self.ts) - 2
-        j = np.clip(np.searchsorted(self._ts_asc, t, side="right") - 1,
-                    0, last)
+        t_min, t_max = t.min(initial=np.inf), t.max(initial=-np.inf)
+        if not (t_min >= self._bounds[0] and t_max <= self._bounds[1]):
+            raise OutOfSpan(f"t in [{t_min}, {t_max}] outside span "
+                            f"{sorted(self.t_span)}")
+        j = np.searchsorted(self._inner, t, side="right")
         if not self._ascending:
-            j = last - j
+            j = self._inner.size - j
         ta, tb = self.ts[j], self.ts[j + 1]
-        w = np.stack(_weights((t - ta) / (tb - ta)), axis=1)[:, None, :]
+        w = _weights((t - ta) / (tb - ta))[:, None, :]
         ys = self.ys.reshape(len(self.ys), -1)
         F = self.segments[j].reshape(t.size, w.shape[-1], ys.shape[1])
         out = ys[j] + (w @ F)[:, 0]
-        for hit, knot in ((t == ta, j), (t == tb, j + 1)):
-            out[hit] = ys[knot[hit]]
+        # a t on a knot gets the solver's state there exactly
+        knot = j + (t == tb)
+        hit = self.ts[knot] == t
+        out[hit] = ys[knot[hit]]
         return out.reshape((t.size,) + self.ys.shape[1:])
 
 
 def _weights(x):
-    """Weights x, x(1-x), x^2(1-x), ..., x^4(1-x)^3 of a step's 7 rows.
-
-    x is the fraction of the step, a float or an array (same arithmetic).
-    """
-    w = [x]
-    for f in (1.0 - x, x) * 3:
-        w.append(w[-1] * f)
-    return w
+    """Weights x, x(1-x), x^2(1-x), ..., x^4(1-x)^3 of a step's 7 rows,
+    (n, 7), at the fractions x (n,) of the steps: each weight is the one
+    before times x or 1 - x."""
+    w = np.empty((x.size, tb.DOP853_INTERP_POWER))
+    w[:, 0::2] = x[:, None]
+    w[:, 1::2] = (1.0 - x)[:, None]
+    return np.multiply.accumulate(w, axis=1, out=w)
 
 
 def integrate(problem: OdeProblem, config: SolverConfig = SolverConfig(),
@@ -279,6 +287,8 @@ def integrate(problem: OdeProblem, config: SolverConfig = SolverConfig(),
     n_stages = tb.DOP853_N_STAGES
     K = np.empty((tb.DOP853_N_STAGES_EXTENDED, y.size))
     A, B, C = tb.DOP853_A, tb.DOP853_B, tb.DOP853_C
+    prepare = problem.prepare
+    stage_c = np.append(C[1:], 1.0)   # the last one stands for t_new
     # Workspaces: stage states (then error terms) and the error scale.
     stage = np.empty(y.size)
     scale = np.empty(y.size)
@@ -311,6 +321,12 @@ def integrate(problem: OdeProblem, config: SolverConfig = SolverConfig(),
             t_new = t1
             h = t_new - t
             h_abs = abs(h)
+        # every time at which the attempt calls `fun`, t + c_s h, then t_new
+        times = stage_c * h
+        times += t
+        times[-1] = t_new
+        if prepare is not None:
+            prepare(times)
 
         K[0] = f_cur
         for s in range(1, n_stages):
@@ -320,7 +336,7 @@ def integrate(problem: OdeProblem, config: SolverConfig = SolverConfig(),
                 np.matmul(K[:s].T, A[s, :s], out=stage)
             stage *= h
             stage += y
-            K[s] = fun(t + C[s] * h, stage)
+            K[s] = fun(times[s - 1], stage)
         np.matmul(K[:n_stages].T, B, out=stage)
         stage *= h
         y_new = y + stage
@@ -348,7 +364,7 @@ def integrate(problem: OdeProblem, config: SolverConfig = SolverConfig(),
 
         if error_norm <= 1.0:
             if dense:
-                segs.append(_dense_coeffs_dop853(fun, t, y, y_new,
+                segs.append(_dense_coeffs_dop853(fun, times, y, y_new,
                                                  f_cur, f_new, h, K, stage))
             h_next = adapt_step(error_norm, h_abs)
             if last_rejected:
@@ -373,14 +389,15 @@ def integrate(problem: OdeProblem, config: SolverConfig = SolverConfig(),
         n_accepted=n_accepted, n_rejected=n_rejected, next_step=proposed)
 
 
-def _dense_coeffs_dop853(fun, t, y, y_new, f_old, f_new, h, K, stage):
-    """Extra stages + F coefficients for the degree-7 interpolant."""
+def _dense_coeffs_dop853(fun, times, y, y_new, f_old, f_new, h, K, stage):
+    """Extra stages + F coefficients for the degree-7 interpolant; times
+    are the attempt's stage times."""
     ns = tb.DOP853_N_STAGES
     for s in range(ns + 1, tb.DOP853_N_STAGES_EXTENDED):
         np.matmul(K[:s].T, tb.DOP853_A[s, :s], out=stage)
         stage *= h
         stage += y
-        K[s] = fun(t + tb.DOP853_C[s] * h, stage)
+        K[s] = fun(times[s - 1], stage)
     delta = y_new - y
     F = np.empty((tb.DOP853_INTERP_POWER, y.size))
     F[0] = delta

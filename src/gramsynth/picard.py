@@ -13,7 +13,7 @@ pass's endpoint error needs, records per-pass telemetry, and returns a
 `PicardResult` on the endpoint or control-update tolerance, a stall or
 the iteration budget.  A pass forms the fixed-point residual F(u_n) - u_n
 once, at the quadrature nodes; the control-update stop and the mixing
-both read it, and the pass builds one control.
+both read it, and the pass builds at most one control.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from numbers import Integral, Real
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -33,7 +32,7 @@ from .flow import (COLD_START, ProductRecord, Trajectory,
                    sampled_products, solve_trajectory, subgrid_tails)
 from .gramian import (DEFICIENCY_TOL, assemble_mixed_from_samples,
                       assemble_symmetric_from_samples, solve_gramian)
-from .ode import SolverConfig
+from .ode import SolverConfig, _is_count, _is_real
 from .quadrature import check_node_count, simpson_rule
 
 MAP_KINDS = ("general", "minimum_energy")
@@ -96,14 +95,16 @@ class SynthesisConfig:
     def __post_init__(self):
         if self.map_kind not in MAP_KINDS:
             raise ValueError(f"map_kind must be one of {MAP_KINDS}")
-        if not isinstance(self.n_max, Integral) or self.n_max < 1:
+        if not (_is_count(self.n_max) and self.n_max >= 1):
             raise ValueError(
                 f"n_max must be an integer >= 1, got {self.n_max!r}")
-        if not (self.eps_x > 0 and self.eps_u > 0):
-            raise ValueError("tolerances must be positive")
+        if not all(_is_real(eps) and eps > 0
+                   for eps in (self.eps_x, self.eps_u)):
+            raise ValueError(f"tolerances must be positive numbers, got "
+                             f"{self.eps_x!r} and {self.eps_u!r}")
         check_node_count(self.quadrature_points)
         reg = self.regularization
-        if not (isinstance(reg, Real) and math.isfinite(reg) and reg >= 0):
+        if not (_is_real(reg) and math.isfinite(reg) and reg >= 0):
             raise ValueError(
                 f"regularization must be a finite number >= 0, got {reg!r}")
 
@@ -215,7 +216,8 @@ def _map_values(problem, traj: Trajectory, config: SynthesisConfig,
         rows, rows_interp = V, interp
     else:
         rows = chain_input_products(traj, traj.control, rule.nodes, tau,
-                                    solver)
+                                    solver,
+                                    loosened=solver is not config.solver)
         gram = assemble_mixed_from_samples(V, rows, rule, interp)
         rows_interp = None   # the chain rows are at the nodes
     sol = solve_gramian(gram, y, reg=config.regularization)
@@ -327,7 +329,8 @@ def run_picard(problem, config: SynthesisConfig = SynthesisConfig(),
     ``eps_u`` (returning F(u_n)), or else forms u_{n+1} by type-II
     Anderson mixing of the node values (`_AndersonMixer`, which
     differences the same f), with the multipliers combined by the same
-    affine coefficients.  Either way the pass builds one control.  Pass
+    affine coefficients.  Either way the pass builds one control, except
+    the last pass of the budget, which neither mixes nor builds.  Pass
     0's pair is left out of the mixing history, so u_1 = F(u_0) and u_2 =
     F(u_1) as in plain Picard.
 
@@ -428,6 +431,9 @@ def run_picard(problem, config: SynthesisConfig = SynthesisConfig(),
                     "control_update_tolerance", n + 1, initial_ok,
                     f"err_fp={err_fp:.3e} <= {config.eps_u:g}"), y, None)
 
+        if n + 1 == config.n_max:   # nothing would return u_{n_max}
+            stop = ("max_iterations", f"stopped after N_max={config.n_max}")
+            break
         lam = sol.lam
         if n > 0:   # pass 0's pair, from u0, stays out of the history
             mixed = mixer(f, values, lam)
@@ -435,7 +441,5 @@ def run_picard(problem, config: SynthesisConfig = SynthesisConfig(),
                 values, lam = mixed
         del f   # the mixer keeps its own copy; free it before the build
         u = _control(problem, config, nodes, values, lam, sol)
-    else:
-        stop = ("max_iterations", f"stopped after N_max={config.n_max}")
     return PicardResult(best[2], records, RunStatus(
         stop[0], len(records), initial_ok, stop[1]), y, best[3])

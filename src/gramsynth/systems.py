@@ -3,7 +3,8 @@
 A system is the pair (N, B) of dx/dt = N_t(x) + B_t(x) u together with
 analytic Jacobian providers.  The drift and its Jacobian take a batch of
 states, so the variational solves of many samples run as one lockstep
-batch.
+batch; the closed-loop Jacobian takes a batch of states and controls, so
+a costate solve reads it for all the stage times of a step at once.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ Field = Callable[[float, np.ndarray], np.ndarray]
 class ControlAffineSystem:
     """The tuple (N, B, D_xN, D_x[N + Bu]) with dimensions d and k.
 
-    ``drift(t, x)`` and ``drift_jacobian(t, x)`` accept a batch of states x
-    of shape (..., d), with t a scalar or an array of shape x.shape[:-1],
-    and return (..., d) and (..., d, d).  ``input_matrix(t, x)`` (d, k)
-    and ``closed_loop_jacobian(t, x, u)`` (d, d) take one state.
+    ``drift(t, x)``, ``drift_jacobian(t, x)`` and
+    ``closed_loop_jacobian(t, x, u)`` accept a batch of states x of shape
+    (..., d), with controls u of shape (..., k) and t a scalar or an array
+    of shape x.shape[:-1], and return (..., d), (..., d, d) and
+    (..., d, d).  ``input_matrix(t, x)`` (d, k) takes one state.
     """
 
     name: str
@@ -108,10 +110,10 @@ def _unicycle_input(t, x):
 
 
 def _unicycle_cl_jac(t, x, u):
-    th = x[2]
-    J = np.zeros((3, 3))
-    J[0, 2] = -u[0] * math.sin(th)
-    J[1, 2] = u[0] * math.cos(th)
+    th, v = x[..., 2], u[..., 0]
+    J = np.zeros(x.shape + (3,))
+    J[..., 0, 2] = -v * np.sin(th)
+    J[..., 1, 2] = v * np.cos(th)
     return J
 
 
@@ -120,7 +122,9 @@ _PEND_BETA = 0.13
 
 
 def _pend_b(t):
-    return (1.0 + 0.5 * np.cos(t)) ** -2
+    # float_power, unlike the SIMD loop of ** on arrays, gives a batch of
+    # times the bits that each time gets alone
+    return np.float_power(1.0 + 0.5 * np.cos(t), -2)
 
 
 def _pend_coeffs(t):
@@ -178,7 +182,7 @@ def _sir_jac(t, x):
 
 def _sir_cl_jac(t, x, u):
     J = _sir_jac(t, x)
-    J[0, 0] -= u[0]
+    J[..., 0, 0] -= u[..., 0]
     return J
 
 

@@ -2,6 +2,7 @@
 sampling, and the flow-conjugate identity."""
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,8 +13,11 @@ from gramsynth import (SteeringProblem, ZeroControl, chain_input_products,
                        flow_conjugate_profile, flow_input_products,
                        drift_flow, linear_system, make_benchmark, residual,
                        run_picard, simpson_rule, solve_trajectory)
+from gramsynth import (DenseSolution, SynthesisConfig, SynthesizedControl,
+                       apply_map)
 from gramsynth import flow, picard
 from gramsynth.controls import ClosedFormControl
+from tests.conftest import counted_calls
 from tests.test_acceptance import suite_problem, suite_run
 from tests.test_default_node_count import CATALOG, _network_cases
 
@@ -246,6 +250,122 @@ def test_chain_products_independent_of_chunking(name, params, tight_solver,
         whole = runs[-1]
         for C in runs[:-1]:
             assert np.max(np.abs(C - whole)) <= 1e-15 * np.max(np.abs(whole))
+
+
+# The right-hand sides as they were before the stage times of an attempt
+# were prepared at once: every stage reads the control, the trajectory and
+# the closed-loop Jacobian at its own time.
+
+def _per_stage_controlled_rhs(t, x, system, control):
+    return system.drift(t, x) + system.input_matrix(t, x) @ control(t)
+
+
+def _per_stage_costate_rhs(s, lam_flat, traj, u, d):
+    x = traj.solution.eval(s)
+    J = traj.system.closed_loop_jacobian(s, x, u(s))
+    return -(lam_flat.reshape(d, d) @ J).ravel()
+
+
+def _per_stage_integrate(monkeypatch, traj=None, u=None, system=None):
+    """Make flow's prepared solves integrate the per-stage fields instead,
+    at the same tolerance: the costate's (given ``traj``) or the
+    trajectory's (given ``system`` and ``u``)."""
+    real = flow.integrate
+
+    def integrate(problem, config, *args, **kwargs):
+        if problem.prepare is not None:
+            field = (partial(_per_stage_costate_rhs, traj=traj, u=u,
+                             d=traj.system.d) if traj is not None else
+                     partial(_per_stage_controlled_rhs, system=system,
+                             control=u))
+            problem = replace(problem, vector_field=field, prepare=None)
+        return real(problem, config, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "integrate", integrate)
+
+
+PREPARED_CASES = [("unicycle", 2), ("pendulum", 1), ("sir", 2),
+                  ("hopfield2d_under", 1)]
+
+
+@pytest.fixture(scope="module")
+def first_iterates(paper_solver):
+    """F(u_0) of the minimum-energy map per system: a synthesized control."""
+    out = {}
+    for name, anchor in PREPARED_CASES:
+        system, problem = make_benchmark(name, {"anchor": anchor})
+        cfg = SynthesisConfig(map_kind="minimum_energy",
+                              quadrature_points=101, solver=paper_solver)
+        u1, _ = apply_map(problem, ZeroControl(system.k, (problem.t0,
+                                                          problem.T)),
+                          cfg, residual(problem, paper_solver))
+        out[name] = problem, u1
+    return out
+
+
+@pytest.mark.parametrize("name", [name for name, _ in PREPARED_CASES])
+def test_prepared_solves_equal_per_stage_reads(name, first_iterates,
+                                               paper_solver, monkeypatch):
+    # reading an attempt's stage times at once changes no bit of the
+    # trajectory or of the chain products at the configured tolerance
+    problem, u = first_iterates[name]
+    nodes = np.linspace(problem.t0, problem.T, 101)
+    traj = solve_trajectory(problem, u, paper_solver)
+    rows = chain_input_products(traj, u, nodes, problem.anchor_time,
+                                paper_solver)
+    with monkeypatch.context() as m:
+        _per_stage_integrate(m, system=problem.system, u=u)
+        ref = solve_trajectory(problem, u, paper_solver).solution
+    for attr in ("ts", "ys", "segments"):
+        assert np.array_equal(getattr(traj.solution, attr),
+                              getattr(ref, attr))
+    _per_stage_integrate(monkeypatch, traj=traj, u=u)
+    ref_rows = chain_input_products(traj, u, nodes, problem.anchor_time,
+                                    paper_solver)
+    assert np.array_equal(rows, ref_rows)
+
+
+def test_loosened_costate_runs_at_the_products_tolerance(first_iterates,
+                                                         paper_solver,
+                                                         monkeypatch):
+    problem, u = first_iterates["sir"]
+    traj = solve_trajectory(problem, u, paper_solver)
+    configs, real = [], flow.integrate
+
+    def spy(problem, config, *args, **kwargs):
+        if problem.prepare is not None:
+            configs.append(config)
+        return real(problem, config, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "integrate", spy)
+    loose = replace(paper_solver, rtol=1e-5, atol=1e-7)
+    for loosened in (False, True):
+        chain_input_products(traj, u, [problem.t0, problem.T], problem.T,
+                             loose, loosened=loosened)
+    factor = flow._COSTATE_TOL_FACTOR
+    assert configs[0] == replace(loose, rtol=loose.rtol * factor,
+                                 atol=loose.atol * factor)
+    assert configs[1] is loose
+
+
+def test_minimum_energy_synthesis_reads_no_scalar_hot_path(paper_solver,
+                                                           monkeypatch):
+    # the right-hand sides read the trajectory and the control once per
+    # step attempt; at most the fields at t_start and at the starting-step
+    # probe may read one time alone
+    scalar = []
+    for owner, attr in ((DenseSolution, "eval"),
+                        (SynthesizedControl, "__call__")):
+        def spy(self, t, real=getattr(owner, attr)):
+            scalar.append(t)
+            return real(self, t)
+        monkeypatch.setattr(owner, attr, spy)
+    solves = counted_calls(monkeypatch, flow, "integrate")
+    system, problem = make_benchmark("hopfield2d_full")
+    result = run_picard(problem, SynthesisConfig(
+        map_kind="minimum_energy", solver=paper_solver))
+    assert result.status.success and len(result.records) > 2
+    assert len(scalar) <= 2 * len(solves)
 
 
 def _reference_flow_product(system, x_t, t, tau):

@@ -84,6 +84,18 @@ def test_config_validation_errors():
             ExperimentConfig.from_dict({"synthesis": synthesis})
 
 
+@pytest.mark.parametrize("data", [
+    {"synthesis": {"n_max": True}}, {"synthesis": {"eps_x": True}},
+    {"solver": {"rtol": True}}, {"solver": {"max_steps": 2.5}},
+    {"synthesis": {"eps_u": False}}, {"synthesis": {"regularization": True}},
+    {"solver": {"atol": True}}, {"solver": {"max_steps": True}},
+    {"solver": {"rtol": "1e-8"}}], ids=lambda d: json.dumps(d))
+def test_synthesis_and_solver_values_reject_bools_and_fractional_counts(
+        data):
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(data)
+
+
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")),
                          ids=lambda p: p.name)
 def test_shipped_config_echo_loads_back(path):

@@ -1,6 +1,7 @@
 """Adaptive integrator: accuracy, dense output, step control, error paths."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -161,7 +162,7 @@ def test_batch_of_one_row_equals_single_state():
 _OMEGA = np.array([1.0, 2.0, 0.5])
 
 
-def _dense_case(kind):
+def _dense_problem(kind):
     cfg = SolverConfig(rtol=1e-10, atol=1e-12)
     if kind == "forward":
         def exact(t):
@@ -176,6 +177,11 @@ def _dense_case(kind):
             return np.stack([np.cos(_OMEGA * t),
                              -_OMEGA * np.sin(_OMEGA * t)], axis=1)
         problem = OdeProblem(_oscillators(_OMEGA), 0.0, 3.0, exact(0.0))
+    return problem, exact, cfg
+
+
+def _dense_case(kind):
+    problem, exact, cfg = _dense_problem(kind)
     return integrate(problem, cfg), exact, cfg
 
 
@@ -190,7 +196,7 @@ def test_eval_many_equals_stacked_eval(kind):
     many = sol.eval_many(ts)
     assert many.shape == (ts.size,) + sol.ys.shape[1:]
     stacked = np.stack([sol.eval(float(t)) for t in ts])
-    assert np.max(np.abs(many - stacked)) <= 1e-15 * np.max(np.abs(sol.ys))
+    assert np.array_equal(many, stacked)
 
 
 @pytest.mark.parametrize("kind", DENSE_KINDS)
@@ -316,6 +322,39 @@ class _Recorder:
         self.states.append(y.copy())
         self.arrays.append(y)
         return self.field(t, y)
+
+
+@pytest.mark.parametrize("kind", DENSE_KINDS + ["clipped"])
+def test_prepare_hands_over_every_stage_time(kind):
+    # each attempt, accepted or rejected, calls the field only at the times
+    # handed to prepare before it; only f(t0) and the starting-step probe
+    # come before any.  "clipped" first tries a step past t_end, which is
+    # clipped to the span and rejected.
+    problem, _, cfg = _dense_problem("forward" if kind == "clipped"
+                                     else kind)
+    span = abs(problem.t_end - problem.t_start)
+    first_step = 2.0 * span if kind == "clipped" else None
+    prepared, misses = [], []
+    field = problem.vector_field
+
+    def logged(t, y):
+        if not (prepared and t in prepared[-1]):
+            misses.append(t)
+        return field(t, y)
+
+    sol = integrate(replace(problem, vector_field=logged,
+                            prepare=lambda ts: prepared.append(ts.tolist())),
+                    cfg, first_step=first_step)
+    ref = integrate(problem, cfg, first_step=first_step)
+    assert np.array_equal(sol.ts, ref.ts)
+    assert np.array_equal(sol.segments, ref.segments)
+    assert len(prepared) == sol.n_accepted + sol.n_rejected
+    assert all(len(ts) == tb.DOP853_N_STAGES_EXTENDED for ts in prepared)
+    assert misses[0] == problem.t_start
+    assert len(misses) == (1 if first_step else 2)
+    assert prepared[-1][-1] == problem.t_end
+    if kind == "clipped":
+        assert sol.n_rejected > 0 and prepared[0][-1] == problem.t_end
 
 
 def test_first_step_is_the_first_step_attempted():

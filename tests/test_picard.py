@@ -1,6 +1,7 @@
 """Synthesis maps, Picard iteration, metrics, and control representations."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -577,6 +578,41 @@ def test_budget_stop_returns_the_best_iterate(monkeypatch):
     assert result.status.iterations == len(solved) == 6
     u, traj = solved[3]
     assert result.control is u and result.trajectory is traj
+
+
+def test_budget_stop_neither_mixes_nor_builds_the_unreturned_iterate(
+        paper_solver, monkeypatch):
+    # the last pass of the budget would form u_{n_max}, which no stop
+    # returns; its records and the returned iterate do not depend on it
+    system, problem = make_benchmark("hopfield2d_full")
+    cfg = SynthesisConfig(map_kind="minimum_energy", quadrature_points=101,
+                          solver=paper_solver, n_max=4, eps_x=1e-14,
+                          eps_u=1e-14)
+    built, mixed = [], counted_calls(monkeypatch, picard._AndersonMixer,
+                                     "__call__")
+    real = picard._control
+    monkeypatch.setattr(picard, "_control",
+                        lambda *a: built.append(real(*a)) or built[-1])
+    short = run_picard(problem, cfg)
+    assert short.status == picard.RunStatus(
+        "max_iterations", cfg.n_max, True, f"stopped after N_max={cfg.n_max}")
+    assert len(built) == cfg.n_max - 1 and len(mixed) == cfg.n_max - 2
+    # a longer budget runs the same first n_max passes and builds each u_n
+    built.clear()
+    long = run_picard(problem, replace(cfg, n_max=cfg.n_max + 1))
+
+    def timeless(records):
+        return [replace(r, wall_time=0.0) for r in records]
+
+    assert timeless(short.records) == timeless(long.records[:cfg.n_max])
+    best = int(np.argmin([r.err_end for r in short.records]))
+    assert best > 0
+    expect = built[best - 1]
+    assert np.array_equal(short.control.grid_values, expect.grid_values)
+    assert np.array_equal(short.control.lam, expect.lam)
+    assert np.array_equal(short.trajectory.solution.ys,
+                          solve_trajectory(problem, expect,
+                                           paper_solver).solution.ys)
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,25 @@ def test_drift_and_jacobian_accept_batches(name):
                                        rtol=1e-13, atol=1e-14)
 
 
+@pytest.mark.parametrize("name", sorted(BATCH_SYSTEMS))
+def test_closed_loop_jacobian_accepts_batches_bit_for_bit(name):
+    # a costate solve reads a batch of stage times at once, and must get
+    # exactly what reading each time alone gives
+    system = BATCH_SYSTEMS[name]()
+    d, k = system.d, system.k
+    rng = np.random.default_rng(4)
+    for B in (d + 3, d, 16):
+        X = rng.normal(scale=0.5, size=(B, d))
+        U = rng.normal(size=(B, k))
+        ts = rng.uniform(0.5, 1.5, size=B)
+        for t_arg, t_rows in ((ts, ts), (0.7, np.full(B, 0.7))):
+            J = system.closed_loop_jacobian(t_arg, X, U)
+            stacked = np.stack([system.closed_loop_jacobian(float(t), x, u)
+                                for t, x, u in zip(t_rows, X, U)])
+            assert J.shape == (B, d, d)
+            assert np.array_equal(J, stacked)
+
+
 def test_sir_input_is_state_dependent():
     system, problem = make_benchmark("sir")
     x = problem.x0
